@@ -1,4 +1,4 @@
-// Pair-evaluation throughput: naive vs compiled vs cached.
+// Pair-evaluation throughput: naive vs compiled vs batch.
 //
 // Rule evaluation is the dominant stage of every batch and session flush
 // (BENCH_session), so this bench isolates exactly the per-pair decision:
@@ -9,9 +9,11 @@
 //   compiled: MatchPlan::MatchesPair through match::CompiledEvaluator
 //             (deduplicated atom table, selectivity-ordered lazy atoms,
 //             bit-parallel bounded edit distance, per-record profiles),
-//   cached:   the compiled path behind a warm PairDecisionCache
-// — on two workloads: the default rule-based credit/billing corpus and
-// the fig9 Fellegi-Sunter configuration (RCK-union comparison vector).
+//   batch:    CompiledEvaluator::MatchesBatch over SoA pair strips, with
+//             and without a reused arena
+// — on three workloads: the default rule-based credit/billing corpus,
+// the fig9 Fellegi-Sunter configuration (RCK-union comparison vector)
+// and strict key-equality rules.
 //
 // Emits an aligned table and machine-readable BENCH_pairs.json (perf
 // trajectory point for this bench across PRs). MDMATCH_BENCH_FULL=1 runs
@@ -32,7 +34,6 @@
 #include "api/plan.h"
 #include "bench_common.h"
 #include "candidate/windowing.h"
-#include "match/pair_cache.h"
 #include "match/windowing.h"
 #include "sim/edit_distance.h"
 #include "util/arena.h"
@@ -128,7 +129,6 @@ struct WorkloadResult {
   size_t matches = 0;
   double naive_pps = 0;
   double compiled_pps = 0;
-  double cached_pps = 0;
   /// SoA strips through MatchesBatch with the per-pass transients in a
   /// Reset-reused arena (the executor/session steady state) vs a fresh
   /// arena built and torn down every pass (the arena-off toggle: same
@@ -303,7 +303,7 @@ WorkloadResult RunWorkload(const std::string& name,
           for (size_t b = 0; b < strips.num_batches; ++b) {
             const uint32_t first = strips.batch_first_lane[b];
             evaluator.MatchesBatch(bcols[0], bcols[1], strips.batches[b],
-                                   nullptr, lane_dec + first, nullptr);
+                                   lane_dec + first, nullptr);
           }
           for (size_t lane = 0; lane < strips.lanes; ++lane) {
             batch_decisions[strips.lane_pair[lane]] = lane_dec[lane];
@@ -320,29 +320,6 @@ WorkloadResult RunWorkload(const std::string& name,
     check_agrees(naive_decisions, batch_decisions, "batch-noarena");
   }
 
-  // Cached: a warm pair-decision cache in front of the compiled path —
-  // the steady state of repeated batches over unchanged records.
-  match::PairDecisionCache cache(pairs.size() * 2);
-  std::vector<uint64_t> fingerprints[2];
-  for (int side = 0; side < 2; ++side) {
-    const Relation& rel = side == 0 ? left : right;
-    for (size_t i = 0; i < rel.size(); ++i) {
-      fingerprints[side].push_back(match::TupleFingerprint(rel.tuple(i)));
-    }
-  }
-  auto cached_eval = [&](uint32_t l, uint32_t r) {
-    match::PairDecisionCache::Key key{left.tuple(l).id(), right.tuple(r).id(),
-                                      fingerprints[0][l], fingerprints[1][r]};
-    if (auto cached = cache.Lookup(key)) return *cached;
-    const bool decision = p.MatchesPair(left.tuple(l), right.tuple(r));
-    cache.Insert(key, decision);
-    return decision;
-  };
-  // The warm-up pass doubles as the cold-cache divergence check.
-  check_agrees(naive_decisions, decisions_of(cached_eval), "cached-cold");
-  size_t cached_matches = 0;
-  result.cached_pps = Throughput(pairs, &cached_matches, cached_eval);
-  check_agrees(naive_decisions, decisions_of(cached_eval), "cached-warm");
   return result;
 }
 
@@ -352,12 +329,12 @@ int main() {
   const size_t num_base =
       TinyRun() ? 400 : (bench::FullRun() ? 20000 : 4000);
 
-  std::printf("== Pair-evaluation throughput: naive vs compiled vs cached "
+  std::printf("== Pair-evaluation throughput: naive vs compiled vs batch "
               "(K = %zu) ==\n",
               num_base);
   TableWriter table({"workload", "pairs", "matches", "naive p/s",
-                     "compiled p/s", "batch p/s", "cached p/s", "compiled x",
-                     "batch/compiled x", "cached x"});
+                     "compiled p/s", "batch p/s", "compiled x",
+                     "batch/compiled x"});
 
   std::vector<WorkloadResult> results;
   {
@@ -402,23 +379,20 @@ int main() {
   std::vector<std::string> json_rows;
   for (const WorkloadResult& r : results) {
     const double cx = r.compiled_pps / std::max(1e-9, r.naive_pps);
-    const double hx = r.cached_pps / std::max(1e-9, r.naive_pps);
     const double bx = r.batch_pps / std::max(1e-9, r.compiled_pps);
     table.AddRow({r.name, std::to_string(r.pairs), std::to_string(r.matches),
                   TableWriter::Num(r.naive_pps, 0),
                   TableWriter::Num(r.compiled_pps, 0),
-                  TableWriter::Num(r.batch_pps, 0),
-                  TableWriter::Num(r.cached_pps, 0), TableWriter::Num(cx, 2),
-                  TableWriter::Num(bx, 2), TableWriter::Num(hx, 2)});
+                  TableWriter::Num(r.batch_pps, 0), TableWriter::Num(cx, 2),
+                  TableWriter::Num(bx, 2)});
     json_rows.push_back(StringPrintf(
         "    {\"workload\": \"%s\", \"pairs\": %zu, \"matches\": %zu, "
-        "\"naive_pps\": %.0f, \"compiled_pps\": %.0f, \"cached_pps\": %.0f, "
+        "\"naive_pps\": %.0f, \"compiled_pps\": %.0f, "
         "\"batch_pps\": %.0f, \"batch_noarena_pps\": %.0f, "
         "\"speedup_compiled_vs_naive\": %.2f, "
-        "\"speedup_cached_vs_naive\": %.2f, "
         "\"speedup_batch_vs_compiled\": %.2f}",
         r.name.c_str(), r.pairs, r.matches, r.naive_pps, r.compiled_pps,
-        r.cached_pps, r.batch_pps, r.batch_noarena_pps, cx, hx, bx));
+        r.batch_pps, r.batch_noarena_pps, cx, bx));
   }
   table.Print(std::cout);
 

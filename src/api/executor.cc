@@ -22,11 +22,6 @@ Executor::Executor(PlanPtr plan, ExecutorOptions options)
     : plan_(std::move(plan)), options_(options) {
   assert(plan_ != nullptr && "Executor requires a compiled plan");
   if (options_.num_threads == 0) options_.num_threads = 1;
-  if (options_.pair_cache_capacity > 0) {
-    pair_cache_ = std::make_unique<match::PairDecisionCache>(
-        options_.pair_cache_capacity, /*shards=*/16,
-        options_.cache_doorkeeper);
-  }
 }
 
 Status Executor::CheckBatch(const Instance& batch) const {
@@ -76,37 +71,11 @@ ExecutionReport Executor::RunChecked(const Instance& batch,
         }
       }
     }
-    // Same for the cache key fingerprints: one hash per record, not pair.
-    match::PairDecisionCache* cache = pair_cache_.get();
-    const match::PairDecisionCache::Stats cache_before =
-        cache != nullptr ? cache->stats() : match::PairDecisionCache::Stats{};
-    std::vector<uint64_t> fingerprints[2];
-    if (cache != nullptr && !pairs.empty()) {
-      for (int side = 0; side < 2; ++side) {
-        const Relation& rel = side == 0 ? batch.left() : batch.right();
-        fingerprints[side].reserve(rel.size());
-        for (size_t i = 0; i < rel.size(); ++i) {
-          fingerprints[side].push_back(
-              match::TupleFingerprint(rel.tuple(i)));
-        }
-      }
-    }
-    std::atomic<size_t> cache_hits{0};
-
     auto matches_pair = [&](uint32_t l, uint32_t r) {
-      const Tuple& left = batch.left().tuple(l);
-      const Tuple& right = batch.right().tuple(r);
-      auto evaluate = [&] {
-        return plan.MatchesPair(
-            left, right, profiles[0].empty() ? nullptr : &profiles[0][l],
-            profiles[1].empty() ? nullptr : &profiles[1][r]);
-      };
-      if (cache == nullptr) return evaluate();
-      return cache->GetOrCompute(
-          match::PairDecisionCache::Key{left.id(), right.id(),
-                                        fingerprints[0][l],
-                                        fingerprints[1][r]},
-          &cache_hits, evaluate);
+      return plan.MatchesPair(
+          batch.left().tuple(l), batch.right().tuple(r),
+          profiles[0].empty() ? nullptr : &profiles[0][l],
+          profiles[1].empty() ? nullptr : &profiles[1][r]);
     };
 
     // Scale workers so each gets at least min_pairs_per_thread pairs;
@@ -135,39 +104,16 @@ ExecutionReport Executor::RunChecked(const Instance& batch,
               &interner);
         }
       }
-      // Probe the cache once per pair up front (one Lookup per pair,
-      // exactly like GetOrCompute); decided lanes skip evaluation.
-      uint8_t* decided = arena.AllocateArrayOf<uint8_t>(pairs.size());
-      uint8_t* decision = arena.AllocateArrayOf<uint8_t>(pairs.size());
-      size_t probe_hits = 0;
-      for (size_t i = 0; i < pairs.size(); ++i) {
-        decided[i] = 0;
-        decision[i] = 0;
-        if (cache == nullptr) continue;
-        const auto& [l, r] = pairs[i];
-        if (auto cached = cache->Lookup(match::PairDecisionCache::Key{
-                batch.left().tuple(l).id(), batch.right().tuple(r).id(),
-                fingerprints[0][l], fingerprints[1][r]})) {
-          decided[i] = 1;
-          decision[i] = *cached ? 1 : 0;
-          ++probe_hits;
-        }
-      }
       const candidate::PairStrips strips =
           candidate::BuildStrips(pairs, &arena);
-      uint8_t* lane_skip = arena.AllocateArrayOf<uint8_t>(strips.lanes);
       uint8_t* lane_dec = arena.AllocateArrayOf<uint8_t>(strips.lanes);
-      for (size_t lane = 0; lane < strips.lanes; ++lane) {
-        lane_skip[lane] = decided[strips.lane_pair[lane]];
-        lane_dec[lane] = 0;
-      }
+      std::fill_n(lane_dec, strips.lanes, uint8_t{0});
       match::BatchStats stats;
       if (workers <= 1 || strips.num_batches <= 1) {
         for (size_t b = 0; b < strips.num_batches; ++b) {
           const uint32_t first = strips.batch_first_lane[b];
           evaluator.MatchesBatch(cols[0], cols[1], strips.batches[b],
-                                 lane_skip + first, lane_dec + first,
-                                 &stats);
+                                 lane_dec + first, &stats);
         }
       } else {
         std::vector<match::BatchStats> worker_stats(workers);
@@ -177,8 +123,7 @@ ExecutionReport Executor::RunChecked(const Instance& batch,
                            const uint32_t first = strips.batch_first_lane[b];
                            evaluator.MatchesBatch(
                                cols[0], cols[1], strips.batches[b],
-                               lane_skip + first, lane_dec + first,
-                               &worker_stats[w]);
+                               lane_dec + first, &worker_stats[w]);
                          }
                        });
         for (const match::BatchStats& s : worker_stats) {
@@ -187,25 +132,16 @@ ExecutionReport Executor::RunChecked(const Instance& batch,
           stats.simd_lanes_evaluated += s.simd_lanes_evaluated;
         }
       }
+      // Original pair order for result merging, matching the sequential
+      // scalar loop exactly.
+      uint8_t* decision = arena.AllocateArrayOf<uint8_t>(pairs.size());
       for (size_t lane = 0; lane < strips.lanes; ++lane) {
-        const uint32_t p = strips.lane_pair[lane];
-        if (decided[p] == 0) decision[p] = lane_dec[lane];
+        decision[strips.lane_pair[lane]] = lane_dec[lane];
       }
-      // Original pair order for inserts and result merging, matching the
-      // sequential scalar loop exactly.
       for (size_t i = 0; i < pairs.size(); ++i) {
         const auto& [l, r] = pairs[i];
-        if (cache != nullptr && decided[i] == 0) {
-          cache->Insert(
-              match::PairDecisionCache::Key{batch.left().tuple(l).id(),
-                                            batch.right().tuple(r).id(),
-                                            fingerprints[0][l],
-                                            fingerprints[1][r]},
-              decision[i] != 0);
-        }
         if (decision[i] != 0) report.matches.Add(l, r);
       }
-      cache_hits.store(probe_hits);
       report.strips = stats.strips;
       report.simd_lanes_evaluated = stats.simd_lanes_evaluated;
       report.arena_bytes = arena.bytes_used();
@@ -228,13 +164,6 @@ ExecutionReport Executor::RunChecked(const Instance& batch,
       for (const auto& chunk : local) {
         for (const auto& [l, r] : chunk) report.matches.Add(l, r);
       }
-    }
-    report.cache_hits = cache_hits.load();
-    if (cache != nullptr) {
-      const match::PairDecisionCache::Stats after = cache->stats();
-      report.cache_lookups = (after.hits - cache_before.hits) +
-                             (after.misses - cache_before.misses);
-      report.cache_evictions = after.evictions - cache_before.evictions;
     }
   }
 

@@ -5,12 +5,9 @@
 #include <functional>
 #include <vector>
 
-#include <memory>
-
 #include "api/plan.h"
 #include "match/evaluation.h"
 #include "match/match_result.h"
-#include "match/pair_cache.h"
 #include "schema/instance.h"
 #include "util/status.h"
 
@@ -30,18 +27,6 @@ struct ExecutorOptions {
   /// Compute ground-truth quality metrics when the batch carries entity
   /// ids. Disable on production traffic without truth labels.
   bool evaluate_quality = true;
-  /// Entry budget of the per-executor pair-decision cache (0 disables).
-  /// Cached decisions are keyed by (TupleId, value fingerprint) on both
-  /// sides, so repeated Run calls over overlapping batches skip rule
-  /// evaluation for pairs whose records did not change. Results are
-  /// identical with the cache on or off, up to 64-bit fingerprint
-  /// collisions on a recycled id (see match/pair_cache.h).
-  size_t pair_cache_capacity = 0;
-  /// Doorkeeper admission for the pair-decision cache: a key's decision
-  /// enters the LRU only on its second miss, which keeps one-hit-wonder
-  /// pairs (id-recycling churn) from evicting the hot working set.
-  /// Ignored without pair_cache_capacity; never changes results.
-  bool cache_doorkeeper = false;
   /// Route the match stage through the SoA batch evaluator (pair strips,
   /// SIMD atom kernels, arena-backed transients) when the compiled
   /// evaluator reports the batch path profitable (an equality-only atom
@@ -73,15 +58,9 @@ struct ExecutionReport {
   match::CandidateQuality candidate_quality;
   StageTimings timings;
   size_t pairs_compared = 0;  ///< candidate pairs the matcher inspected
-  size_t cache_hits = 0;      ///< pairs decided from the pair-decision cache
-  size_t cache_lookups = 0;   ///< pair-cache probes this run (hits+misses)
-  size_t cache_evictions = 0;  ///< pair-cache LRU entries evicted this run
   size_t strips = 0;  ///< batch-eval units (strips + mixed batches) run
   size_t simd_lanes_evaluated = 0;  ///< atom-lanes that took a SIMD kernel
   size_t arena_bytes = 0;  ///< arena high-water of the batch transients
-  // (Lookup/eviction deltas are exact for serial Run calls; concurrent
-  //  Runs on one executor interleave their probes and split them
-  //  arbitrarily between reports.)
 };
 
 /// Streaming consumer of matched pairs: called once per (left_index,
@@ -123,7 +102,6 @@ class Executor {
 
   PlanPtr plan_;
   ExecutorOptions options_;
-  std::unique_ptr<match::PairDecisionCache> pair_cache_;
 };
 
 }  // namespace mdmatch::api

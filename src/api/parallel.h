@@ -15,7 +15,7 @@ namespace mdmatch::api::internal {
 /// chunks, one per worker. Chunk boundaries depend only on (n, workers),
 /// so the concatenated per-chunk outputs are identical for every worker
 /// count. Shared by the Executor's match stage and the MatchSession's
-/// sharded flush — this *is* the executor thread pool.
+/// evaluation stage — this *is* the executor thread pool.
 inline void ParallelChunks(
     size_t n, size_t workers,
     const std::function<void(size_t, size_t, size_t)>& body) {

@@ -154,8 +154,8 @@ class MatchPlan {
   CompileStats stats_;
 };
 
-/// Plans are shared: Executors, caches and shard workers all hold
-/// references to one compiled artifact.
+/// Plans are shared: Executors, sessions and their worker threads all
+/// hold references to one compiled artifact.
 using PlanPtr = std::shared_ptr<const MatchPlan>;
 
 /// \brief Fluent compiler for MatchPlans.

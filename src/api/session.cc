@@ -1,12 +1,11 @@
 #include "api/session.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <unordered_set>
 
 #include "api/parallel.h"
 #include "api/plan_io.h"
+#include "candidate/indexed_entry.h"
 #include "candidate/windowing.h"
 #include "util/fnv.h"
 #include "util/stopwatch.h"
@@ -21,18 +20,10 @@ using internal::ParallelChunks;
 
 namespace {
 
-/// True when some gap position g (a removal site in the final order) lies
-/// in (i, j] — i.e. the removed entry used to sit between positions i and
-/// j, so the pair's window distance shrank this flush. `gaps` is sorted.
-bool SpansGap(const std::vector<size_t>& gaps, size_t i, size_t j) {
-  auto it = std::upper_bound(gaps.begin(), gaps.end(), i);
-  return it != gaps.end() && *it <= j;
-}
-
 /// FNV-1a over a staged delta: its (side, id, op, values) sequence in the
 /// deterministic pending-map order. Two sessions staging identical deltas
 /// from identical base versions produce the same fingerprint — the key
-/// the IndexCatalog memoizes snapshot transitions under.
+/// the IndexCatalog match store memoizes published states under.
 uint64_t FingerprintDelta(
     const std::map<std::pair<int, TupleId>, std::optional<Tuple>>& pending) {
   uint64_t hash = kFnvOffsetBasis;
@@ -68,6 +59,25 @@ match::MatchResult TranslatedMatches(const SharedMatchState& state) {
     out.Add(pos[0][l], pos[1][r]);
   });
   return out;
+}
+
+/// The standing counts and generation number of `gen`.
+void ReportStanding(const SessionGeneration& gen, IngestReport* report) {
+  report->corpus_left = gen.state->corpus[0].size();
+  report->corpus_right = gen.state->corpus[1].size();
+  report->total_matches = gen.state->matches.size();
+  report->generation = gen.generation;
+}
+
+/// Sorts and dedupes `v` in place: the record and handle sets of a flush
+/// are sorted vectors probed by binary search.
+void SortUnique(std::vector<uint64_t>* v) {
+  std::sort(v->begin(), v->end());
+  v->erase(std::unique(v->begin(), v->end()), v->end());
+}
+
+bool Has(const std::vector<uint64_t>& sorted, uint64_t value) {
+  return std::binary_search(sorted.begin(), sorted.end(), value);
 }
 
 }  // namespace
@@ -125,6 +135,27 @@ Result<bool> SessionView::SameCluster(int side_a, TupleId id_a, int side_b,
 
 // ----------------------------------------------------------- MatchSession
 
+/// One flush's working state, produced and consumed by the Flush stages.
+struct MatchSession::FlushDelta {
+  /// New and updated records as (side, seq); an update re-enters the
+  /// indexes under its new keys.
+  std::vector<std::pair<int, uint32_t>> inserted;
+  /// Index delta: per windowing pass, or for the block index.
+  std::vector<std::vector<IndexedEntry>> pass_removes;
+  std::vector<std::vector<IndexedEntry>> pass_inserts;
+  std::vector<IndexedEntry> block_removes;
+  std::vector<IndexedEntry> block_inserts;
+  /// Removal-gap positions per windowing pass, sorted, in the post-merge
+  /// order.
+  std::vector<std::vector<size_t>> gaps;
+  match::CandidateSet candidates;
+  SeqPairs new_matches;
+  /// Handles of the clusters that lost an edge (removals, updates,
+  /// drift) — the ones whose connectivity must be recomputed from the
+  /// standing pairs.
+  std::vector<uint64_t> lost;
+};
+
 MatchSession::MatchSession(PlanPtr plan, SessionOptions options)
     : plan_(std::move(plan)), options_(std::move(options)) {
   assert(plan_ != nullptr && "MatchSession requires a compiled plan");
@@ -134,11 +165,6 @@ MatchSession::MatchSession(PlanPtr plan, SessionOptions options)
   if (options_.catalog != nullptr) {
     catalog_entry_ =
         options_.catalog->Acquire(PlanFingerprint(*plan_), options_.corpus_id);
-  }
-  if (options_.pair_cache_capacity > 0) {
-    pair_cache_ = std::make_unique<match::PairDecisionCache>(
-        options_.pair_cache_capacity, /*shards=*/16,
-        options_.cache_doorkeeper);
   }
   // No thread can see the session yet; the locks (taken in the same
   // mu_ -> publish_mu_ order a Flush uses) are uncontended and keep the
@@ -164,27 +190,23 @@ Status MatchSession::CheckSide(int side) const {
   return Status::OK();
 }
 
-std::vector<std::string> MatchSession::RenderKeys(const Tuple& tuple,
-                                                  int side) const {
-  std::vector<std::string> keys;
+SessionRecordPtr MatchSession::MakeRecord(Tuple tuple, int side,
+                                          uint32_t seq) const {
+  auto record = std::make_shared<Record>();
+  record->seq = seq;
   if (plan_->options().candidates == PlanOptions::Candidates::kWindowing) {
-    keys.reserve(plan_->sort_keys().size());
+    record->keys.reserve(plan_->sort_keys().size());
     for (const auto& key : plan_->sort_keys()) {
-      keys.push_back(key.Render(tuple, side));
+      record->keys.push_back(key.Render(tuple, side));
     }
   } else {
-    keys.push_back(plan_->block_key().Render(tuple, side));
+    record->keys.push_back(plan_->block_key().Render(tuple, side));
   }
-  return keys;
-}
-
-void MatchSession::RenderDerived(Record* record, int side) const {
   if (plan_->evaluator().needs_profiles()) {
-    record->profile = plan_->evaluator().ProfileRecord(record->tuple, side);
+    record->profile = plan_->evaluator().ProfileRecord(tuple, side);
   }
-  if (pair_cache_ != nullptr) {
-    record->fingerprint = match::TupleFingerprint(record->tuple);
-  }
+  record->tuple = std::move(tuple);
+  return record;
 }
 
 Status MatchSession::Upsert(int side, Tuple tuple) {
@@ -230,155 +252,397 @@ Status MatchSession::Remove(int side, TupleId id) {
   return Status::OK();
 }
 
-void MatchSession::RebuildPositionsLocked(int side) {
-  pos_by_seq_[side].assign(next_seq_[side], UINT32_MAX);
-  for (uint32_t i = 0; i < corpus_[side].size(); ++i) {
-    pos_by_seq_[side][corpus_[side][i]->seq] = i;
+Result<IngestReport> MatchSession::Flush() {
+  util::MutexLock lock(mu_);
+  IngestReport report;
+  // Nothing staged: report the standing state without publishing (a
+  // version advanced for a no-op would desynchronize catalog siblings).
+  // Read from the published state, which an adopting session also has.
+  if (pending_.empty()) {
+    ReportStanding(*CurrentGeneration(), &report);
+    return report;
   }
-}
 
-void MatchSession::RebuildClustersLocked() {
-  // A scratch union-find over the surviving pairs; only *changed* handles
-  // are written back into ids_ (trie path copies), so a retirement wave
-  // that splits few clusters stays cheap on the persistent side.
-  match::UnionFind uf;
-  std::vector<size_t> node[2];
-  for (int side = 0; side < 2; ++side) {
-    node[side].assign(next_seq_[side], SIZE_MAX);
-    handle_by_seq_[side].resize(next_seq_[side], 0);
-    for (const SessionRecordPtr& record : corpus_[side]) {
-      node[side][record->seq] = uf.Add();
+  // The catalog match store first: adopt the state a sibling already
+  // published for this exact transition (base version, delta
+  // fingerprint), or become its builder — who MUST publish to the store.
+  const uint64_t base_version = state_version_;
+  const uint64_t delta_fp =
+      catalog_entry_ != nullptr ? FingerprintDelta(pending_) : 0;
+  uint64_t version = 0;
+  if (catalog_entry_ != nullptr) {
+    candidate::IndexCatalog::MatchStateGrant grant =
+        catalog_entry_->BeginMatchState(base_version, delta_fp);
+    if (grant.adopted != nullptr) {
+      AdoptLocked(
+          std::static_pointer_cast<const SharedMatchState>(grant.adopted),
+          &report);
+      return report;
     }
-  }
-  for (const auto& [l, r] : raw_matches_.pairs()) {
-    uf.Union(node[0][l], node[1][r]);
-  }
-  // The canonical handle of a component is the minimum packed (side, seq)
-  // over its members — history-independent, so every session publishing
-  // this corpus content publishes identical handles.
-  std::vector<uint64_t> min_of(uf.size(), UINT64_MAX);
-  std::vector<uint32_t> members_of(uf.size(), 0);
-  for (int side = 0; side < 2; ++side) {
-    for (const SessionRecordPtr& record : corpus_[side]) {
-      const size_t root = uf.Find(node[side][record->seq]);
-      min_of[root] = std::min(min_of[root], Handle(side, record->seq));
-      ++members_of[root];
-    }
-  }
-  cluster_members_.clear();
-  for (int side = 0; side < 2; ++side) {
-    for (const SessionRecordPtr& record : corpus_[side]) {
-      const size_t root = uf.Find(node[side][record->seq]);
-      const uint64_t handle = min_of[root];
-      if (handle_by_seq_[side][record->seq] != handle) {
-        handle_by_seq_[side][record->seq] = handle;
-        ids_[side].GetMutable(record->tuple.id())->handle = handle;
-      }
-      if (members_of[root] >= 2) {
-        cluster_members_[handle].push_back(
-            {Handle(side, record->seq), record->tuple.id()});
-      }
-    }
-  }
-  clusters_stale_ = false;
-}
-
-void MatchSession::RepairClustersLocked(
-    const std::vector<std::pair<uint32_t, uint32_t>>& dropped) {
-  // Dropping edges can only split the clusters that held them: recompute
-  // connectivity over just those clusters' members and surviving pairs —
-  // O(affected members + standing pairs) — instead of rebuilding the
-  // whole union-find. Handles everywhere else cannot change.
-  std::unordered_set<uint64_t> affected;
-  for (const auto& [l, r] : dropped) {
-    // Both endpoints of a standing pair carry the same handle.
-    affected.insert(handle_by_seq_[0][l]);
-  }
-  match::UnionFind uf;
-  std::unordered_map<uint64_t, size_t> node_of;  // packed (side, seq) → node
-  std::vector<ClusterMember> members;
-  for (const uint64_t handle : affected) {
-    auto found = cluster_members_.find(handle);
-    if (found == cluster_members_.end()) continue;  // already a singleton
-    for (const ClusterMember& member : found->second) {
-      node_of.emplace(member.packed, uf.Add());
-      members.push_back(member);
-    }
-    cluster_members_.erase(found);
-  }
-  for (const auto& [l, r] : raw_matches_.pairs()) {
-    if (affected.count(handle_by_seq_[0][l]) != 0) {
-      uf.Union(node_of[Handle(0, l)], node_of[Handle(1, r)]);
-    }
-  }
-  // Per surviving component: the canonical minimum-packed handle, written
-  // back only where it changed, and the member list re-registered when
-  // the component still has two or more records.
-  std::unordered_map<size_t, std::vector<ClusterMember>> groups;
-  for (const ClusterMember& member : members) {
-    groups[uf.Find(node_of[member.packed])].push_back(member);
-  }
-  for (auto& [root, group] : groups) {
-    uint64_t handle = UINT64_MAX;
-    for (const ClusterMember& member : group) {
-      handle = std::min(handle, member.packed);
-    }
-    for (const ClusterMember& member : group) {
-      const int side = static_cast<int>(member.packed >> 32);
-      const uint32_t seq = static_cast<uint32_t>(member.packed);
-      if (handle_by_seq_[side][seq] != handle) {
-        handle_by_seq_[side][seq] = handle;
-        ids_[side].GetMutable(member.id)->handle = handle;
-      }
-    }
-    if (group.size() >= 2) cluster_members_[handle] = std::move(group);
-  }
-}
-
-void MatchSession::MergeHandlesLocked(uint32_t l, uint32_t r) {
-  const uint64_t hl = handle_by_seq_[0][l];
-  const uint64_t hr = handle_by_seq_[1][r];
-  if (hl == hr) return;  // already one cluster
-  const uint64_t winner = std::min(hl, hr);
-  const uint64_t loser = std::max(hl, hr);
-  std::vector<ClusterMember>& members = cluster_members_[winner];
-  if (members.empty()) {
-    // The winner was a singleton: its handle is its own packed (side,
-    // seq), and every cluster member is live, so resolve its id through
-    // the position tables.
-    const int side = static_cast<int>(winner >> 32);
-    const uint32_t seq = static_cast<uint32_t>(winner);
-    members.push_back(
-        {winner, corpus_[side][pos_by_seq_[side][seq]]->tuple.id()});
-  }
-  // Alias-bound like every other same-thread lambda under mu_ (the body
-  // is outside the analysis).
-  auto& handle_by_seq = handle_by_seq_;
-  auto& ids = ids_;
-  auto rewrite = [&handle_by_seq, &ids, winner](const ClusterMember& member) {
-    const int side = static_cast<int>(member.packed >> 32);
-    const uint32_t seq = static_cast<uint32_t>(member.packed);
-    handle_by_seq[side][seq] = winner;
-    ids[side].GetMutable(member.id)->handle = winner;
-  };
-  auto found = cluster_members_.find(loser);
-  if (found == cluster_members_.end()) {
-    // The loser was a singleton.
-    const ClusterMember member{
-        loser,
-        corpus_[static_cast<int>(loser >> 32)]
-               [pos_by_seq_[static_cast<int>(loser >> 32)]
-                           [static_cast<uint32_t>(loser)]]
-                   ->tuple.id()};
-    rewrite(member);
-    members.push_back(member);
+    version = grant.build_version;
   } else {
-    for (const ClusterMember& member : found->second) {
-      rewrite(member);
+    version = next_state_version_++;
+  }
+  if (build_stale_) MaterializeLocked();  // after adopting: rebuild first
+  const size_t alloc_base = PersistentAllocBytesLocked();
+
+  FlushDelta delta;
+  {
+    ScopedTimer timer(&report.index_seconds);
+    ResolveDeltaLocked(&delta, &report);
+    AdvanceIndexesLocked(&delta, &report);
+  }
+  {
+    ScopedTimer timer(&report.match_seconds);
+    ScanLocked(&delta, &report);
+    EvaluateLocked(&delta, &report);
+  }
+  {
+    ScopedTimer timer(&report.cluster_seconds);
+    RetireDriftLocked(&delta, &report);
+    ReclusterLocked(&delta, &report);
+    SharedMatchStatePtr published =
+        PublishLocked(version, alloc_base, &report);
+    if (catalog_entry_ != nullptr) {
+      catalog_entry_->PublishMatchState(base_version, delta_fp,
+                                        std::move(published));
     }
-    members.insert(members.end(), found->second.begin(),
-                   found->second.end());
-    cluster_members_.erase(found);
+  }
+  return report;
+}
+
+void MatchSession::ResolveDeltaLocked(FlushDelta* delta,
+                                      IngestReport* report) {
+  const size_t passes = indexes_->window_passes().size();
+  delta->pass_removes.resize(passes);
+  delta->pass_inserts.resize(passes);
+  auto index = [passes, delta](const Record& record, int side,
+                               bool insert) {
+    for (size_t p = 0; p < record.keys.size(); ++p) {
+      IndexedEntry entry{record.keys[p], static_cast<uint8_t>(side),
+                         record.seq};
+      if (passes > 0) {
+        (insert ? delta->pass_inserts : delta->pass_removes)[p].push_back(
+            std::move(entry));
+      } else {
+        (insert ? delta->block_inserts : delta->block_removes)
+            .push_back(std::move(entry));
+      }
+    }
+  };
+
+  report->coalesced_deltas = pending_coalesced_;
+  pending_coalesced_ = 0;
+  // Packed (side, seq) of the removed and updated records: their standing
+  // matches retire below.
+  std::vector<uint64_t> retired;
+  for (auto& [key, op] : pending_) {
+    const auto [side, id] = key;
+    const IdEntry* entry = ids_[side].Get(id);
+    if (entry == nullptr && !op.has_value()) continue;  // staged-only
+    std::vector<Slot>& slots = slots_[side];
+    uint32_t seq = 0;
+    if (entry != nullptr) {
+      // A removal or an update: the old record leaves the indexes and
+      // its standing matches retire — edges its cluster loses, unless it
+      // was a singleton. The old record object stays untouched —
+      // published generations may still reference it.
+      seq = entry->seq;
+      index(*slots[seq].record, side, /*insert=*/false);
+      retired.push_back(Handle(side, seq));
+      if (cluster_members_.count(slots[seq].handle) != 0) {
+        delta->lost.push_back(slots[seq].handle);
+      }
+    }
+    if (!op.has_value()) {
+      slots[seq].record = nullptr;
+      corpus_trie_[side].Erase(seq);
+      ids_[side].Erase(id);
+      ++report->removed;
+      continue;
+    }
+    ++report->upserted;
+    if (entry == nullptr) {
+      // A new record appends a slot: a singleton, its own handle.
+      seq = static_cast<uint32_t>(slots.size());
+      slots.push_back(Slot{nullptr, Handle(side, seq)});
+      ids_[side].Set(id, IdEntry{seq, Handle(side, seq)});
+    }
+    // An update keeps its seq (the corpus-order slot) and id entry; its
+    // handle resolves in ReclusterLocked.
+    SessionRecordPtr record = MakeRecord(std::move(*op), side, seq);
+    index(*record, side, /*insert=*/true);
+    delta->inserted.emplace_back(side, seq);
+    corpus_trie_[side].Set(seq, record);
+    slots[seq].record = std::move(record);
+  }
+  pending_.clear();
+
+  if (!retired.empty()) {
+    SortUnique(&retired);
+    auto& pairs = pairs_;
+    report->matches_dropped +=
+        raw_matches_.RemoveMatching([&](uint32_t l, uint32_t r) {
+          const bool drop =
+              Has(retired, Handle(0, l)) || Has(retired, Handle(1, r));
+          if (drop) pairs.Erase(l, r);
+          return drop;
+        });
+  }
+}
+
+void MatchSession::AdvanceIndexesLocked(FlushDelta* delta,
+                                        IngestReport* report) {
+  ScopedTimer timer(&report->merge_seconds);
+  indexes_ = IndexSnapshot::Advance(
+      std::move(indexes_), delta->pass_removes,
+      std::move(delta->pass_inserts), delta->block_removes,
+      delta->block_inserts);
+  const auto& passes = indexes_->window_passes();
+  delta->gaps.assign(passes.size(), {});
+  for (size_t p = 0; p < passes.size(); ++p) {
+    for (const IndexedEntry& e : delta->pass_removes[p]) {
+      delta->gaps[p].push_back(passes[p].LowerBound(e));
+    }
+    std::sort(delta->gaps[p].begin(), delta->gaps[p].end());
+  }
+}
+
+void MatchSession::ScanLocked(FlushDelta* delta, IngestReport* report) {
+  ScopedTimer timer(&report->scan_seconds);
+  match::CandidateSet& cand = delta->candidates;
+  const auto& raw_matches = raw_matches_;
+  auto add = [&cand, &raw_matches](uint32_t l, uint32_t r) {
+    if (!raw_matches.Contains(l, r)) cand.Add(l, r);
+  };
+
+  if (const candidate::BlockIndex* blocks = indexes_->block()) {
+    // Each inserted record against the opposite side of its block
+    // (intra-delta pairs emitted from both endpoints collapse in `cand`).
+    for (const auto& [side, seq] : delta->inserted) {
+      const candidate::BlockIndex::Block* block =
+          blocks->Find(slots_[side][seq].record->keys[0]);
+      if (block == nullptr) continue;
+      for (uint32_t other : side == 0 ? block->right : block->left) {
+        if (side == 0) {
+          add(seq, other);
+        } else {
+          add(other, seq);
+        }
+      }
+    }
+    return;
+  }
+
+  // Windowing: scan the final order around every inserted entry (pairs
+  // gaining a delta endpoint) and around every removal gap (old pairs
+  // whose distance shrank below the window).
+  const size_t window = plan_->options().window_size;
+  if (window < 2) return;
+  std::vector<const IndexedEntry*> span;  // reused window buffer
+  auto add_entries = [&add](const IndexedEntry& a, const IndexedEntry& b) {
+    if (a.side == b.side) return;
+    if (a.side == 0) {
+      add(a.seq, b.seq);
+    } else {
+      add(b.seq, a.seq);
+    }
+  };
+  const auto& passes = indexes_->window_passes();
+  for (size_t p = 0; p < passes.size(); ++p) {
+    const SortedKeyIndex& idx = passes[p];
+    const size_t n = idx.size();
+    for (const auto& [side, seq] : delta->inserted) {
+      const size_t center = idx.LowerBound(
+          {slots_[side][seq].record->keys[p], static_cast<uint8_t>(side),
+           seq});
+      const size_t lo = center >= window - 1 ? center - (window - 1) : 0;
+      idx.SpanInto(lo, std::min(n, center + window), &span);
+      const size_t center_off = center - lo;
+      for (size_t j = 0; j < span.size(); ++j) {
+        if (j == center_off) continue;
+        add_entries(*span[std::min(j, center_off)],
+                    *span[std::max(j, center_off)]);
+      }
+    }
+    for (size_t gap : delta->gaps[p]) {
+      const size_t lo = gap >= window - 1 ? gap - (window - 1) : 0;
+      idx.SpanInto(lo, std::min(n, gap + window - 1), &span);
+      for (size_t i = 0; i < span.size(); ++i) {
+        const size_t jhi = std::min(span.size(), i + window);
+        for (size_t j = i + 1; j < jhi; ++j) add_entries(*span[i], *span[j]);
+      }
+    }
+  }
+}
+
+void MatchSession::EvaluateLocked(FlushDelta* delta, IngestReport* report) {
+  if (options_.batch_eval && plan_->evaluator().BatchProfitable()) {
+    EvaluatePairsBatch(delta->candidates.pairs(), &delta->new_matches,
+                       report);
+  } else {
+    EvaluatePairs(delta->candidates.pairs(), &delta->new_matches, report);
+  }
+}
+
+void MatchSession::RetireDriftLocked(FlushDelta* delta,
+                                     IngestReport* report) {
+  const auto& widx = indexes_->window_passes();
+  const size_t passes = widx.size();
+  const size_t window = plan_->options().window_size;
+  if (passes == 0 || window < 2 || delta->inserted.empty() ||
+      raw_matches_.empty()) {
+    return;
+  }
+  ScopedTimer timer(&report->rerank_seconds);
+  const size_t n = widx[0].size();
+  auto& pairs = pairs_;
+  auto& slots = slots_;
+  auto& lost = delta->lost;
+  // Retires (l, r) — no longer a candidate in any pass — and marks its
+  // cluster as having lost an edge.
+  auto retire = [&pairs, &slots, &lost](uint32_t l, uint32_t r) {
+    pairs.Erase(l, r);
+    lost.push_back(slots[0][l].handle);
+    return true;
+  };
+  // Two exact strategies, chosen by cost. Per-pair rank queries on the
+  // treap cost a logarithmic descent of key comparisons per pair per
+  // pass — fine while standing matches are few. Past that, one in-order
+  // walk per pass ranks *every* record in O(n) with no key comparisons at
+  // all, and pairs are re-ranked by O(1) integer distance checks against
+  // the dense rank table. The table is indexed by seq, and seqs are never
+  // reused — a session that churned records down leaves the seq space
+  // larger than the live corpus, so bulk also requires the table
+  // (seq-space-sized) to stay proportional to n or the zero-fill would
+  // dwarf the walks.
+  const size_t seq_space = slots_[0].size() + slots_[1].size();
+  const bool bulk = raw_matches_.size() * 8 >= n && seq_space <= 4 * n;
+  size_t drifted = 0;
+  if (bulk) {
+    // rank_of[side][seq * passes + p] = rank in pass p. The scratch
+    // persists across flushes: every live record appears in the
+    // full-index walks below, so each flush overwrites every entry it
+    // can later read (stale slots belong to dead seqs, which no standing
+    // pair references).
+    auto& rank_of = rank_scratch_;
+    rank_of[0].resize(slots_[0].size() * passes);
+    rank_of[1].resize(slots_[1].size() * passes);
+    std::vector<const IndexedEntry*> span;
+    for (size_t p = 0; p < passes; ++p) {
+      widx[p].SpanInto(0, n, &span);
+      for (size_t i = 0; i < span.size(); ++i) {
+        rank_of[span[i]->side][span[i]->seq * passes + p] =
+            static_cast<uint32_t>(i);
+      }
+    }
+    drifted = raw_matches_.RemoveMatching([&](uint32_t l, uint32_t r) {
+      const uint32_t* pl = &rank_of[0][static_cast<size_t>(l) * passes];
+      const uint32_t* pr = &rank_of[1][static_cast<size_t>(r) * passes];
+      for (size_t p = 0; p < passes; ++p) {
+        const uint32_t dist = pl[p] > pr[p] ? pl[p] - pr[p] : pr[p] - pl[p];
+        if (dist <= window - 1) return false;  // still a candidate
+      }
+      return retire(l, r);
+    });
+  } else {
+    drifted = raw_matches_.RemoveMatching([&](uint32_t l, uint32_t r) {
+      const Record& left = *slots[0][l].record;
+      const Record& right = *slots[1][r].record;
+      for (size_t p = 0; p < passes; ++p) {
+        const size_t pl = widx[p].LowerBound({left.keys[p], 0, left.seq});
+        const size_t pr = widx[p].LowerBound({right.keys[p], 1, right.seq});
+        const size_t dist = pl > pr ? pl - pr : pr - pl;
+        if (dist <= window - 1) return false;  // still a candidate
+      }
+      return retire(l, r);
+    });
+  }
+  report->matches_dropped += drifted;
+}
+
+void MatchSession::ReclusterLocked(FlushDelta* delta,
+                                   IngestReport* report) {
+  // Fold in the new matches. The persistent pair set's journal nets out
+  // same-flush churn for the published parent-delta (a pair retired
+  // above and re-established here appears in neither list).
+  SeqPairs added;
+  std::vector<uint64_t>& lost = delta->lost;
+  std::vector<uint64_t> touched = lost;
+  for (const auto& [l, r] : delta->new_matches) {
+    if (!raw_matches_.Add(l, r)) continue;
+    pairs_.Add(l, r);
+    added.emplace_back(l, r);
+    touched.push_back(slots_[0][l].handle);
+    touched.push_back(slots_[1][r].handle);
+  }
+  report->matches_added += added.size();
+  if (touched.empty()) return;
+  SortUnique(&lost);
+  SortUnique(&touched);
+
+  // One union-find over the live members of every touched cluster. A
+  // cluster that lost no edge is still connected, so its members are
+  // chained directly; one that lost an edge is re-joined from the
+  // standing pairs, the only scan of them this pass makes. Clusters the
+  // flush did not touch keep their handles: a dropped edge cannot split,
+  // and a new match cannot merge, a cluster that did not hold it.
+  match::UnionFind uf;
+  std::vector<uint64_t> members;  // packed (side, seq), indexed by node
+  std::unordered_map<uint64_t, size_t> node_of;
+  for (const uint64_t handle : touched) {
+    std::vector<uint64_t> list{handle};  // a singleton is its own handle
+    if (auto found = cluster_members_.find(handle);
+        found != cluster_members_.end()) {
+      list = std::move(found->second);
+      cluster_members_.erase(found);
+    }
+    const bool intact = !Has(lost, handle);
+    const size_t first = uf.size();
+    for (const uint64_t packed : list) {
+      const int side = static_cast<int>(packed >> 32);
+      if (slots_[side][static_cast<uint32_t>(packed)].record == nullptr) {
+        continue;  // removed this flush
+      }
+      const size_t node = uf.Add();
+      node_of.emplace(packed, node);
+      members.push_back(packed);
+      if (intact) uf.Union(first, node);
+    }
+  }
+  if (!lost.empty()) {
+    for (const auto& [l, r] : raw_matches_.pairs()) {
+      if (Has(lost, slots_[0][l].handle)) {
+        uf.Union(node_of.at(Handle(0, l)), node_of.at(Handle(1, r)));
+      }
+    }
+  }
+  for (const auto& [l, r] : added) {
+    uf.Union(node_of.at(Handle(0, l)), node_of.at(Handle(1, r)));
+  }
+
+  // Per component: the canonical handle is the minimum packed (side,
+  // seq) over its members — history-independent, so every session
+  // publishing this corpus content publishes identical handles. Handles
+  // are written back only where they changed (trie path copies).
+  std::vector<uint64_t> min_of(members.size(), UINT64_MAX);
+  std::vector<uint32_t> size_of(members.size(), 0);
+  for (size_t i = 0; i < members.size(); ++i) {
+    const size_t root = uf.Find(i);
+    min_of[root] = std::min(min_of[root], members[i]);
+    ++size_of[root];
+  }
+  for (size_t i = 0; i < members.size(); ++i) {
+    const size_t root = uf.Find(i);
+    const int side = static_cast<int>(members[i] >> 32);
+    Slot& slot = slots_[side][static_cast<uint32_t>(members[i])];
+    if (slot.handle != min_of[root]) {
+      slot.handle = min_of[root];
+      ids_[side].GetMutable(slot.record->tuple.id())->handle = slot.handle;
+    }
+    if (size_of[root] >= 2) {
+      cluster_members_[min_of[root]].push_back(members[i]);
+    }
   }
 }
 
@@ -401,34 +665,34 @@ SharedMatchStatePtr MatchSession::PublishLocked(uint64_t version,
   for (int side = 0; side < 2; ++side) {
     state->corpus[side] = corpus_trie_[side].Freeze();
     state->ids[side] = ids_[side].Freeze();
-    state->next_seq[side] = next_seq_[side];
+    state->next_seq[side] = static_cast<uint32_t>(slots_[side].size());
   }
   state->upserted = report->upserted;
   state->removed = report->removed;
   state->matches_added = report->matches_added;
   state->matches_dropped = report->matches_dropped;
-  state_version_ = version;
   // What this flush path-copied into the persistent structures — the
-  // whole structural footprint of the publish, where the previous design
-  // copied the full maps, pair set and handle arrays.
-  report->publish_bytes_copied +=
-      PersistentAllocBytesLocked() - alloc_base;
+  // whole structural footprint of the publish.
+  report->publish_bytes_copied += PersistentAllocBytesLocked() - alloc_base;
+  SwapInLocked(state, report);
+  return state;
+}
 
+void MatchSession::SwapInLocked(SharedMatchStatePtr state,
+                                IngestReport* report) {
+  state_version_ = state->version;
   auto gen = std::make_shared<SessionGeneration>();
   gen->generation = next_generation_++;
   gen->parent_generation = gen->generation - 1;
-  gen->state = state;
-  report->generation = gen->generation;
-  {
-    // The only writer-side touch of the publication latch: one pointer
-    // swap. The old generation's release (possibly the last reference)
-    // happens after the latch is dropped.
-    SessionGenerationPtr retired;
-    util::MutexLock publish_lock(publish_mu_);
-    retired.swap(published_);
-    published_ = std::move(gen);
-  }
-  return state;
+  gen->state = std::move(state);
+  ReportStanding(*gen, report);
+  // The only writer-side touch of the publication latch: one pointer
+  // swap. The old generation's release (possibly the last reference)
+  // happens after the latch is dropped.
+  SessionGenerationPtr retired;
+  util::MutexLock publish_lock(publish_mu_);
+  retired.swap(published_);
+  published_ = std::move(gen);
 }
 
 void MatchSession::AdoptLocked(SharedMatchStatePtr state,
@@ -440,85 +704,58 @@ void MatchSession::AdoptLocked(SharedMatchStatePtr state,
   report->coalesced_deltas = pending_coalesced_;
   pending_coalesced_ = 0;
   pending_.clear();
-  report->index_reused = true;
   report->match_reused = true;
   report->upserted = state->upserted;
   report->removed = state->removed;
   report->matches_added = state->matches_added;
   report->matches_dropped = state->matches_dropped;
   indexes_ = state->indexes;
-  next_seq_[0] = state->next_seq[0];
-  next_seq_[1] = state->next_seq[1];
-  state_version_ = state->version;
   // Drop the build-side containers: while this session keeps adopting,
   // its per-replica match-state memory is O(1) — everything queryable
   // lives in the shared state. The next self-built flush re-materializes
   // them (MaterializeLocked).
   for (int side = 0; side < 2; ++side) {
-    corpus_[side].clear();
-    corpus_[side].shrink_to_fit();
-    pos_by_seq_[side].clear();
-    pos_by_seq_[side].shrink_to_fit();
-    handle_by_seq_[side].clear();
-    handle_by_seq_[side].shrink_to_fit();
+    slots_[side].clear();
+    slots_[side].shrink_to_fit();
     corpus_trie_[side] = util::PersistentTrie<SessionRecordPtr>();
     ids_[side] = util::PersistentTrie<IdEntry>();
   }
   raw_matches_ = match::PairSet();
   pairs_ = match::PersistentPairSet();
   cluster_members_.clear();
-  clusters_stale_ = false;
   build_stale_ = true;
-
-  auto gen = std::make_shared<SessionGeneration>();
-  gen->generation = next_generation_++;
-  gen->parent_generation = gen->generation - 1;
-  gen->state = std::move(state);
-  report->generation = gen->generation;
-  {
-    SessionGenerationPtr retired;
-    util::MutexLock publish_lock(publish_mu_);
-    retired.swap(published_);
-    published_ = std::move(gen);
-  }
+  SwapInLocked(std::move(state), report);
 }
 
 void MatchSession::MaterializeLocked() {
   const SharedMatchStatePtr state = CurrentGeneration()->state;
   for (int side = 0; side < 2; ++side) {
-    next_seq_[side] = state->next_seq[side];
     corpus_trie_[side] =
         util::PersistentTrie<SessionRecordPtr>::FromFrozen(
             state->corpus[side]);
     ids_[side] = util::PersistentTrie<IdEntry>::FromFrozen(state->ids[side]);
-    corpus_[side].clear();
-    corpus_[side].reserve(state->corpus[side].size());
-    pos_by_seq_[side].assign(next_seq_[side], UINT32_MAX);
-    handle_by_seq_[side].assign(next_seq_[side], 0);
-    auto& corpus = corpus_[side];
-    auto& pos_by_seq = pos_by_seq_[side];
+    auto& slots = slots_[side];
+    slots.assign(state->next_seq[side], Slot{});
     state->corpus[side].ForEach(
-        [&corpus, &pos_by_seq](uint64_t seq, const SessionRecordPtr& rec) {
-          pos_by_seq[seq] = static_cast<uint32_t>(corpus.size());
-          corpus.push_back(rec);
+        [&slots](uint64_t seq, const SessionRecordPtr& record) {
+          slots[seq].record = record;
         });
+    state->ids[side].ForEach([&slots](uint64_t, const IdEntry& entry) {
+      slots[entry.seq].handle = entry.handle;
+    });
   }
-  // Handles and cluster member lists from the published id tries.
-  std::unordered_map<uint64_t, std::vector<ClusterMember>> by_handle;
-  for (int side = 0; side < 2; ++side) {
-    auto& handle_by_seq = handle_by_seq_[side];
-    state->ids[side].ForEach(
-        [&handle_by_seq, &by_handle, side](uint64_t id,
-                                           const IdEntry& entry) {
-          handle_by_seq[entry.seq] = entry.handle;
-          by_handle[entry.handle].push_back(
-              {Handle(side, entry.seq), static_cast<TupleId>(id)});
-        });
-  }
+  // Cluster member lists from the handles.
   cluster_members_.clear();
-  for (auto& [handle, members] : by_handle) {
-    if (members.size() >= 2) cluster_members_[handle] = std::move(members);
+  for (int side = 0; side < 2; ++side) {
+    for (uint32_t seq = 0; seq < slots_[side].size(); ++seq) {
+      if (slots_[side][seq].record != nullptr) {
+        cluster_members_[slots_[side][seq].handle].push_back(
+            Handle(side, seq));
+      }
+    }
   }
+  std::erase_if(cluster_members_,
+                [](const auto& entry) { return entry.second.size() < 2; });
   // Standing pairs: the hash engine from a key-ordered walk, the
   // persistent set by adopting the frozen trie (journal starts empty).
   raw_matches_ = match::PairSet();
@@ -528,481 +765,24 @@ void MatchSession::MaterializeLocked() {
   });
   pairs_ = match::PersistentPairSet::FromFrozen(state->matches);
   indexes_ = state->indexes;
-  clusters_stale_ = false;
   build_stale_ = false;
 }
 
-Result<IngestReport> MatchSession::Flush() {
-  util::MutexLock lock(mu_);
-  // Lock-scope aliases for the lambdas below. The analysis treats a
-  // lambda body as a separate unannotated function (see
-  // util/thread_annotations.h), and the sharded paths run `eval` on
-  // ParallelChunks workers while this thread holds mu_ and keeps the
-  // guarded state frozen for the whole call; the lambdas therefore read
-  // that state through these aliases, bound here where the capability is
-  // visibly held.
-  auto& corpus = corpus_;
-  auto& pos_by_seq = pos_by_seq_;
-  auto& raw_matches = raw_matches_;
-  auto& ppairs = pairs_;
-  auto& indexes = indexes_;
-  const MatchPlan& plan = *plan_;
-  const bool windowing =
-      plan.options().candidates == PlanOptions::Candidates::kWindowing;
-  const size_t window = plan.options().window_size;
-  const size_t passes = windowing ? indexes_->window_passes().size() : 0;
-
-  IngestReport report;
-
-  // Nothing staged: report the standing state without touching the
-  // snapshot chain or publishing. (Advancing a version for a no-op would
-  // desynchronize this session from catalog siblings and churn the
-  // transition memo.) Answered from the published state so it also holds
-  // for an adopted session whose build side is dropped.
-  if (pending_.empty()) {
-    const SessionGenerationPtr current = CurrentGeneration();
-    report.corpus_left = current->state->corpus[0].size();
-    report.corpus_right = current->state->corpus[1].size();
-    report.total_matches = current->state->matches.size();
-    report.generation = current->generation;
-    return report;
-  }
-
-  // Catalog sessions key the shared snapshot transition on the staged
-  // delta's content; fingerprint it before the staging map is consumed.
-  const uint64_t delta_fp =
-      catalog_entry_ != nullptr ? FingerprintDelta(pending_) : 0;
-  const uint64_t base_state_version = state_version_;
-
-  // The catalog match store first: when a sibling session already flushed
-  // this exact transition (same base version, same delta fingerprint),
-  // adopt its whole published state — no candidate generation, no
-  // evaluation, no clustering; one pointer publish. Otherwise this
-  // session becomes the builder for the transition (granted a shared
-  // state version) and MUST publish to the store when done.
-  uint64_t state_version = 0;
-  if (catalog_entry_ != nullptr) {
-    candidate::IndexCatalog::MatchStateGrant grant =
-        catalog_entry_->BeginMatchState(base_state_version, delta_fp);
-    if (grant.adopted != nullptr) {
-      SharedMatchStatePtr adopted =
-          std::static_pointer_cast<const SharedMatchState>(grant.adopted);
-      report.corpus_left = adopted->corpus[0].size();
-      report.corpus_right = adopted->corpus[1].size();
-      report.total_matches = adopted->matches.size();
-      AdoptLocked(std::move(adopted), &report);
-      return report;
-    }
-    state_version = grant.build_version;
-  } else {
-    state_version = next_state_version_++;
-  }
-  // A session that has been adopting shared states has no build-side
-  // containers; rebuild them from the published state before building.
-  if (build_stale_) MaterializeLocked();
-  const size_t alloc_base = PersistentAllocBytesLocked();
-
-  report.coalesced_deltas = pending_coalesced_;
-  pending_coalesced_ = 0;
-
-  // --- resolve the staged delta and update the persistent indexes ---
-  // `inserted` covers new records and updated ones (an update re-enters
-  // the indexes under its new keys); `retired` holds the handles whose
-  // standing matches must be dropped (removed or updated records).
-  std::vector<std::pair<int, uint32_t>> inserted;  // (side, seq)
-  std::unordered_set<uint64_t> retired;
-  size_t delta_records = 0;
-  const size_t base_size[2] = {corpus_[0].size(), corpus_[1].size()};
-  std::vector<std::vector<IndexedEntry>> pass_removes(passes);
-  {
-    ScopedTimer timer(&report.index_seconds);
-
-    std::vector<std::vector<IndexedEntry>> pass_inserts(passes);
-    std::vector<IndexedEntry> block_removes;
-    std::vector<IndexedEntry> block_inserts;
-    std::vector<std::pair<int, uint32_t>> removal_positions;  // (side, pos)
-
-    auto index_out = [&](const Record& record, int side, bool insert) {
-      for (size_t p = 0; p < record.keys.size(); ++p) {
-        IndexedEntry entry{record.keys[p], static_cast<uint8_t>(side),
-                           record.seq};
-        if (windowing) {
-          (insert ? pass_inserts : pass_removes)[p].push_back(
-              std::move(entry));
-        } else {
-          (insert ? block_inserts : block_removes).push_back(
-              std::move(entry));
-        }
-      }
-    };
-
-    for (auto& [key, op] : pending_) {
-      const auto [side, id] = key;
-      const IdEntry* entry = ids_[side].Get(id);
-      if (!op.has_value()) {
-        if (entry == nullptr) continue;  // staged-only record
-        const uint32_t pos = pos_by_seq_[side][entry->seq];
-        const Record& record = *corpus_[side][pos];
-        index_out(record, side, /*insert=*/false);
-        retired.insert(Handle(side, record.seq));
-        removal_positions.emplace_back(side, pos);
-        corpus_trie_[side].Erase(record.seq);
-        ids_[side].Erase(id);
-        ++report.removed;
-        continue;
-      }
-      ++report.upserted;
-      if (entry != nullptr) {
-        // Update in place: same seq (the corpus-order slot is kept), old
-        // keys leave the indexes, new keys enter, standing matches retire
-        // for re-evaluation against the new values. The old record object
-        // stays untouched — published generations may still reference it;
-        // the slot gets a freshly derived record instead. The id entry
-        // (seq, handle) is unchanged; the handle resolves in the rebuild
-        // the retirement forces.
-        const uint32_t pos = pos_by_seq_[side][entry->seq];
-        const Record& old = *corpus_[side][pos];
-        index_out(old, side, /*insert=*/false);
-        retired.insert(Handle(side, old.seq));
-        auto record = std::make_shared<Record>();
-        record->seq = old.seq;
-        record->keys = RenderKeys(*op, side);
-        record->tuple = std::move(*op);
-        RenderDerived(record.get(), side);
-        index_out(*record, side, /*insert=*/true);
-        inserted.emplace_back(side, record->seq);
-        corpus_trie_[side].Set(record->seq, record);
-        corpus_[side][pos] = std::move(record);
-      } else {
-        auto record = std::make_shared<Record>();
-        record->seq = next_seq_[side]++;
-        record->keys = RenderKeys(*op, side);
-        record->tuple = std::move(*op);
-        RenderDerived(record.get(), side);
-        inserted.emplace_back(side, record->seq);
-        handle_by_seq_[side].resize(next_seq_[side], 0);
-        handle_by_seq_[side][record->seq] = Handle(side, record->seq);
-        ids_[side].Set(id, IdEntry{record->seq, Handle(side, record->seq)});
-        corpus_trie_[side].Set(record->seq, record);
-        index_out(*record, side, /*insert=*/true);
-        corpus_[side].push_back(std::move(record));
-      }
-    }
-    delta_records = pending_.size();
-    pending_.clear();
-
-    // Erase removed records back-to-front so earlier positions stay
-    // valid. Removals shift positions, so they force a map rebuild; a
-    // flush of appends and in-place updates only registers the new tail.
-    std::sort(removal_positions.rbegin(), removal_positions.rend());
-    for (const auto& [side, pos] : removal_positions) {
-      corpus_[side].erase(corpus_[side].begin() + pos);
-    }
-    if (!removal_positions.empty()) {
-      RebuildPositionsLocked(0);
-      RebuildPositionsLocked(1);
-    } else {
-      for (int side = 0; side < 2; ++side) {
-        pos_by_seq_[side].resize(next_seq_[side], UINT32_MAX);
-        for (uint32_t i = static_cast<uint32_t>(base_size[side]);
-             i < corpus_[side].size(); ++i) {
-          pos_by_seq_[side][corpus_[side][i]->seq] = i;
-        }
-      }
-    }
-
-    if (!retired.empty()) {
-      report.matches_dropped += raw_matches_.RemoveMatching(
-          [&](uint32_t l, uint32_t r) {
-            const bool drop = retired.count(Handle(0, l)) > 0 ||
-                              retired.count(Handle(1, r)) > 0;
-            if (drop) ppairs.Erase(l, r);
-            return drop;
-          });
-      clusters_stale_ = true;
-    }
-
-    // Advance the index chain to the next snapshot. A catalog session
-    // first consults the shared entry: when a sibling already built this
-    // exact transition, its snapshot is adopted and the merge is skipped.
-    {
-      ScopedTimer merge_timer(&report.merge_seconds);
-      if (catalog_entry_ != nullptr) {
-        indexes_ = catalog_entry_->Advance(
-            indexes_->version(), delta_fp, &report.index_reused,
-            [&](uint64_t version) {
-              return IndexSnapshot::Advance(
-                  std::move(indexes), pass_removes, std::move(pass_inserts),
-                  block_removes, block_inserts, version);
-            });
-      } else {
-        indexes_ = IndexSnapshot::Advance(
-            std::move(indexes_), pass_removes, std::move(pass_inserts),
-            block_removes, block_inserts, next_version_++);
-      }
-      // Gap positions (per pass, sorted) in the post-merge order.
-      if (windowing) {
-        gaps_scratch_.assign(passes, {});
-        for (size_t p = 0; p < passes; ++p) {
-          for (const IndexedEntry& e : pass_removes[p]) {
-            gaps_scratch_[p].push_back(
-                indexes_->window_passes()[p].LowerBound(e));
-          }
-          std::sort(gaps_scratch_[p].begin(), gaps_scratch_[p].end());
-        }
-      }
-    }
-  }
-
-  // --- generate + evaluate the delta's candidate pairs ---
-  const match::PairDecisionCache::Stats cache_before =
-      pair_cache_ != nullptr ? pair_cache_->stats()
-                             : match::PairDecisionCache::Stats{};
-  std::vector<std::pair<uint32_t, uint32_t>> new_matches;
-  {
-    ScopedTimer timer(&report.match_seconds);
-    const bool sharded = options_.num_threads > 1 &&
-                         options_.shard_min_delta > 0 &&
-                         delta_records >= options_.shard_min_delta;
-    std::atomic<size_t> cache_hits{0};
-    auto eval = [&](uint32_t l, uint32_t r) {
-      const Record& left = *corpus[0][pos_by_seq[0][l]];
-      const Record& right = *corpus[1][pos_by_seq[1][r]];
-      auto evaluate = [&] {
-        return plan.MatchesPair(left.tuple, right.tuple, &left.profile,
-                                &right.profile);
-      };
-      if (pair_cache_ == nullptr) return evaluate();
-      return pair_cache_->GetOrCompute(
-          match::PairDecisionCache::Key{left.tuple.id(), right.tuple.id(),
-                                        left.fingerprint, right.fingerprint},
-          &cache_hits, evaluate);
-    };
-    auto seq_pair = [](const IndexedEntry& a,
-                       const IndexedEntry& b) -> std::pair<uint32_t, uint32_t> {
-      return a.side == 0 ? std::make_pair(a.seq, b.seq)
-                         : std::make_pair(b.seq, a.seq);
-    };
-
-    if (sharded) {
-      // The sharded paths fuse candidate scan and evaluation per shard;
-      // their whole time lands in eval_seconds.
-      ScopedTimer eval_timer(&report.eval_seconds);
-      report.shards_used =
-          windowing ? ShardedWindowFlush(inserted, eval, seq_pair, window,
-                                         &new_matches, &report)
-                    : ShardedBlockFlush(inserted, eval, &new_matches,
-                                        &report);
-    } else if (windowing && window >= 2) {
-      // Delta path: scan the final order around every inserted entry
-      // (pairs gaining a delta endpoint) and around every removal gap
-      // (old pairs whose distance shrank below the window).
-      match::CandidateSet cand;
-      {
-        ScopedTimer scan_timer(&report.scan_seconds);
-        std::vector<const IndexedEntry*> span;  // reused window buffer
-        auto add_pair = [&](const IndexedEntry& a, const IndexedEntry& b) {
-          if (a.side == b.side) return;
-          auto [l, r] = seq_pair(a, b);
-          if (!raw_matches.Contains(l, r)) cand.Add(l, r);
-        };
-        for (size_t p = 0; p < passes; ++p) {
-          const SortedKeyIndex& idx = indexes_->window_passes()[p];
-          const size_t n = idx.size();
-          for (const auto& [side, seq] : inserted) {
-            const Record& record =
-                *corpus_[side][pos_by_seq_[side][seq]];
-            const size_t center = idx.LowerBound(
-                {record.keys[p], static_cast<uint8_t>(side), seq});
-            const size_t lo = center >= window - 1 ? center - (window - 1)
-                                                   : 0;
-            const size_t hi = std::min(n, center + window);
-            idx.SpanInto(lo, hi, &span);
-            const size_t center_off = center - lo;
-            for (size_t j = 0; j < span.size(); ++j) {
-              if (j == center_off) continue;
-              add_pair(*span[std::min(j, center_off)],
-                       *span[std::max(j, center_off)]);
-            }
-          }
-          for (size_t gap : gaps_scratch_[p]) {
-            const size_t lo = gap >= window - 1 ? gap - (window - 1) : 0;
-            const size_t hi = std::min(n, gap + window - 1);
-            idx.SpanInto(lo, hi, &span);
-            for (size_t i = 0; i < span.size(); ++i) {
-              const size_t jhi = std::min(span.size(), i + window);
-              for (size_t j = i + 1; j < jhi; ++j) {
-                add_pair(*span[i], *span[j]);
-              }
-            }
-          }
-        }
-      }
-      if (options_.batch_eval && plan.evaluator().BatchProfitable()) {
-        EvaluatePairsBatch(cand.pairs(), &cache_hits, &new_matches, &report);
-      } else {
-        EvaluatePairs(cand.pairs(), eval, &new_matches, &report);
-      }
-    } else if (!windowing) {
-      // Delta path, blocking: each inserted record against the opposite
-      // side of its block (PairSet-deduped, so intra-delta pairs emitted
-      // from both endpoints collapse).
-      match::CandidateSet cand;
-      {
-        ScopedTimer scan_timer(&report.scan_seconds);
-        const candidate::BlockIndex* blocks = indexes_->block();
-        for (const auto& [side, seq] : inserted) {
-          const Record& record = *corpus_[side][pos_by_seq_[side][seq]];
-          const candidate::BlockIndex::Block* block =
-              blocks->Find(record.keys[0]);
-          if (block == nullptr) continue;
-          const std::vector<uint32_t>& others =
-              side == 0 ? block->right : block->left;
-          for (uint32_t other : others) {
-            const uint32_t l = side == 0 ? seq : other;
-            const uint32_t r = side == 0 ? other : seq;
-            if (!raw_matches_.Contains(l, r)) cand.Add(l, r);
-          }
-        }
-      }
-      if (options_.batch_eval && plan.evaluator().BatchProfitable()) {
-        EvaluatePairsBatch(cand.pairs(), &cache_hits, &new_matches, &report);
-      } else {
-        EvaluatePairs(cand.pairs(), eval, &new_matches, &report);
-      }
-    }
-    report.cache_hits = cache_hits.load();
-    if (pair_cache_ != nullptr) {
-      const match::PairDecisionCache::Stats after = pair_cache_->stats();
-      report.cache_lookups = (after.hits - cache_before.hits) +
-                             (after.misses - cache_before.misses);
-      report.cache_evictions = after.evictions - cache_before.evictions;
-    }
-  }
-
-  // --- retire standing matches insertions pushed out of every window,
-  //     fold in the new matches, and publish the next generation ---
-  {
-    ScopedTimer timer(&report.cluster_seconds);
-    if (windowing && window >= 2 && !inserted.empty() &&
-        raw_matches_.size() > 0) {
-      ScopedTimer rerank_timer(&report.rerank_seconds);
-      const auto& widx = indexes_->window_passes();
-      const size_t n = widx.empty() ? 0 : widx[0].size();
-      size_t drifted = 0;
-      std::vector<std::pair<uint32_t, uint32_t>> dropped;
-      // Two exact strategies, chosen by cost. Per-pair rank queries on
-      // the treap cost a logarithmic descent of key comparisons per pair
-      // per pass — fine while standing matches are few. Past that, one
-      // in-order walk per pass ranks *every* record in O(n) with no key
-      // comparisons at all, and pairs are re-ranked by O(1) integer
-      // distance checks against the dense rank table. The table is
-      // indexed by seq, and seqs are never reused — a session that
-      // churned records down leaves the seq space larger than the live
-      // corpus, so bulk also requires the table (next_seq-sized) to stay
-      // proportional to n or the zero-fill would dwarf the walks.
-      const bool bulk =
-          raw_matches_.size() * 8 >= n &&
-          static_cast<size_t>(next_seq_[0]) + next_seq_[1] <= 4 * n;
-      if (bulk) {
-        // rank_of[side][seq * passes + p] = rank in pass p. The scratch
-        // persists across flushes: every live record appears in the
-        // full-index walks below, so each flush overwrites every entry
-        // it can later read (stale slots belong to dead seqs, which no
-        // standing pair references).
-        auto& rank_of = rank_scratch_;
-        rank_of[0].resize(static_cast<size_t>(next_seq_[0]) * passes);
-        rank_of[1].resize(static_cast<size_t>(next_seq_[1]) * passes);
-        std::vector<const IndexedEntry*> span;
-        for (size_t p = 0; p < passes; ++p) {
-          widx[p].SpanInto(0, n, &span);
-          for (size_t i = 0; i < span.size(); ++i) {
-            rank_of[span[i]->side][span[i]->seq * passes + p] =
-                static_cast<uint32_t>(i);
-          }
-        }
-        drifted = raw_matches_.RemoveMatching(
-            [&](uint32_t l, uint32_t r) {
-              const uint32_t* pl =
-                  &rank_of[0][static_cast<size_t>(l) * passes];
-              const uint32_t* pr =
-                  &rank_of[1][static_cast<size_t>(r) * passes];
-              for (size_t p = 0; p < passes; ++p) {
-                const uint32_t dist =
-                    pl[p] > pr[p] ? pl[p] - pr[p] : pr[p] - pl[p];
-                if (dist <= window - 1) return false;  // still a candidate
-              }
-              ppairs.Erase(l, r);
-              dropped.emplace_back(l, r);
-              return true;
-            });
-      } else {
-        drifted = raw_matches_.RemoveMatching(
-            [&](uint32_t l, uint32_t r) {
-              const Record& left = *corpus_[0][pos_by_seq_[0][l]];
-              const Record& right = *corpus_[1][pos_by_seq_[1][r]];
-              for (size_t p = 0; p < passes; ++p) {
-                const size_t pl =
-                    widx[p].LowerBound({left.keys[p], 0, left.seq});
-                const size_t pr =
-                    widx[p].LowerBound({right.keys[p], 1, right.seq});
-                const size_t dist = pl > pr ? pl - pr : pr - pl;
-                if (dist <= window - 1) return false;  // still a candidate
-              }
-              ppairs.Erase(l, r);
-              dropped.emplace_back(l, r);
-              return true;
-            });
-      }
-      if (drifted > 0) {
-        report.matches_dropped += drifted;
-        // Drift only splits clusters that lost an edge: repair those in
-        // place unless a removal / update wave already forced the full
-        // rebuild this flush.
-        if (!clusters_stale_) RepairClustersLocked(dropped);
-      }
-    }
-
-    // Fold in the new matches. The persistent pair set's journal nets out
-    // same-flush churn for the published parent-delta (a pair retired
-    // above and re-established here appears in neither list); handles
-    // merge incrementally unless a retirement already scheduled the full
-    // rebuild.
-    // A bulk wave (initial load, huge catch-up delta) folds in faster
-    // through one full rebuild than through per-pair handle merges.
-    if (!clusters_stale_ &&
-        new_matches.size() * 4 >= corpus_[0].size() + corpus_[1].size()) {
-      clusters_stale_ = true;
-    }
-    for (const auto& [l, r] : new_matches) {
-      if (raw_matches_.Add(l, r)) {
-        ++report.matches_added;
-        pairs_.Add(l, r);
-        if (!clusters_stale_) MergeHandlesLocked(l, r);
-      }
-    }
-    if (clusters_stale_) RebuildClustersLocked();
-
-    SharedMatchStatePtr published =
-        PublishLocked(state_version, alloc_base, &report);
-    if (catalog_entry_ != nullptr) {
-      catalog_entry_->PublishMatchState(base_state_version, delta_fp,
-                                        published);
-    }
-  }
-
-  report.corpus_left = corpus_[0].size();
-  report.corpus_right = corpus_[1].size();
-  report.total_matches = raw_matches_.size();
-  return report;
-}
-
-void MatchSession::EvaluatePairs(
-    const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
-    const std::function<bool(uint32_t, uint32_t)>& eval,
-    std::vector<std::pair<uint32_t, uint32_t>>* out, IngestReport* report) {
+void MatchSession::EvaluatePairs(const SeqPairs& pairs, SeqPairs* out,
+                                 IngestReport* report) {
   ScopedTimer eval_timer(&report->eval_seconds);
   report->pairs_evaluated += pairs.size();
+  // Worker-lambda aliases: this thread holds mu_ and keeps the slot
+  // table frozen while the workers read it; a lambda body is outside the
+  // analysis, so it reads through aliases bound here.
+  const auto& slots = slots_;
+  const MatchPlan& plan = *plan_;
+  auto eval = [&slots, &plan](uint32_t l, uint32_t r) {
+    const Record& left = *slots[0][l].record;
+    const Record& right = *slots[1][r].record;
+    return plan.MatchesPair(left.tuple, right.tuple, &left.profile,
+                            &right.profile);
+  };
   size_t workers = options_.num_threads;
   if (options_.min_pairs_per_thread > 0) {
     workers = std::min(workers, pairs.size() / options_.min_pairs_per_thread);
@@ -1013,7 +793,7 @@ void MatchSession::EvaluatePairs(
     }
     return;
   }
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> local(workers);
+  std::vector<SeqPairs> local(workers);
   ParallelChunks(pairs.size(), workers,
                  [&](size_t w, size_t begin, size_t end) {
                    for (size_t i = begin; i < end; ++i) {
@@ -1026,10 +806,8 @@ void MatchSession::EvaluatePairs(
   }
 }
 
-void MatchSession::EvaluatePairsBatch(
-    const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
-    std::atomic<size_t>* cache_hits,
-    std::vector<std::pair<uint32_t, uint32_t>>* out, IngestReport* report) {
+void MatchSession::EvaluatePairsBatch(const SeqPairs& pairs, SeqPairs* out,
+                                      IngestReport* report) {
   ScopedTimer eval_timer(&report->eval_seconds);
   report->pairs_evaluated += pairs.size();
   if (pairs.empty()) return;
@@ -1053,10 +831,11 @@ void MatchSession::EvaluatePairsBatch(
     filled[side] = arena.AllocateArrayOf<uint8_t>(rows);
     std::fill_n(filled[side], rows, uint8_t{0});
   }
+  const auto& slots = slots_;
   auto fill_row = [&](int side, uint32_t seq) {
     if (filled[side][seq] != 0) return;
     filled[side][seq] = 1;
-    const Record& rec = *corpus_[side][pos_by_seq_[side][seq]];
+    const Record& rec = *slots[side][seq].record;
     evaluator.FillBatchRow(&cols[side], seq, rec.tuple, &rec.profile,
                            &interner);
   };
@@ -1065,185 +844,25 @@ void MatchSession::EvaluatePairsBatch(
     fill_row(1, r);
   }
 
-  // One cache Lookup per pair up front (the batch-path shape of
-  // GetOrCompute); decided lanes are skipped by MatchesBatch.
-  uint8_t* decided = arena.AllocateArrayOf<uint8_t>(pairs.size());
-  uint8_t* decision = arena.AllocateArrayOf<uint8_t>(pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    decided[i] = 0;
-    decision[i] = 0;
-    if (pair_cache_ == nullptr) continue;
-    const auto& [l, r] = pairs[i];
-    const Record& left = *corpus_[0][pos_by_seq_[0][l]];
-    const Record& right = *corpus_[1][pos_by_seq_[1][r]];
-    if (auto cached = pair_cache_->Lookup(match::PairDecisionCache::Key{
-            left.tuple.id(), right.tuple.id(), left.fingerprint,
-            right.fingerprint})) {
-      decided[i] = 1;
-      decision[i] = *cached ? 1 : 0;
-      cache_hits->fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
   const candidate::PairStrips strips = candidate::BuildStrips(pairs, &arena);
-  uint8_t* lane_skip = arena.AllocateArrayOf<uint8_t>(strips.lanes);
   uint8_t* lane_dec = arena.AllocateArrayOf<uint8_t>(strips.lanes);
-  for (size_t lane = 0; lane < strips.lanes; ++lane) {
-    lane_skip[lane] = decided[strips.lane_pair[lane]];
-    lane_dec[lane] = 0;
-  }
+  std::fill_n(lane_dec, strips.lanes, uint8_t{0});
   match::BatchStats stats;
   for (size_t b = 0; b < strips.num_batches; ++b) {
-    const uint32_t first = strips.batch_first_lane[b];
     evaluator.MatchesBatch(cols[0], cols[1], strips.batches[b],
-                           lane_skip + first, lane_dec + first, &stats);
+                           lane_dec + strips.batch_first_lane[b], &stats);
   }
+  // Output in original pair order — the order EvaluatePairs produces.
+  uint8_t* decision = arena.AllocateArrayOf<uint8_t>(pairs.size());
   for (size_t lane = 0; lane < strips.lanes; ++lane) {
-    const uint32_t p = strips.lane_pair[lane];
-    if (decided[p] == 0) decision[p] = lane_dec[lane];
+    decision[strips.lane_pair[lane]] = lane_dec[lane];
   }
-  // Inserts and output in original pair order — the order EvaluatePairs
-  // produces.
   for (size_t i = 0; i < pairs.size(); ++i) {
-    const auto& [l, r] = pairs[i];
-    if (pair_cache_ != nullptr && decided[i] == 0) {
-      const Record& left = *corpus_[0][pos_by_seq_[0][l]];
-      const Record& right = *corpus_[1][pos_by_seq_[1][r]];
-      pair_cache_->Insert(
-          match::PairDecisionCache::Key{left.tuple.id(), right.tuple.id(),
-                                        left.fingerprint, right.fingerprint},
-          decision[i] != 0);
-    }
-    if (decision[i] != 0) out->emplace_back(l, r);
+    if (decision[i] != 0) out->push_back(pairs[i]);
   }
   report->strips += stats.strips;
   report->simd_lanes_evaluated += stats.simd_lanes_evaluated;
   report->arena_bytes += arena.bytes_used();
-}
-
-size_t MatchSession::ShardedWindowFlush(
-    const std::vector<std::pair<int, uint32_t>>& inserted,
-    const std::function<bool(uint32_t, uint32_t)>& eval,
-    const std::function<std::pair<uint32_t, uint32_t>(
-        const candidate::IndexedEntry&, const candidate::IndexedEntry&)>&
-        seq_pair,
-    size_t window, std::vector<std::pair<uint32_t, uint32_t>>* out,
-    IngestReport* report) {
-  const auto& widx = indexes_->window_passes();
-  const size_t passes = widx.size();
-  const size_t n = passes == 0 ? 0 : widx[0].size();
-  if (window < 2 || n == 0) return 1;
-
-  // Per pass: flag the positions the delta entered at.
-  std::vector<std::vector<uint8_t>> is_delta(passes);
-  for (size_t p = 0; p < passes; ++p) {
-    is_delta[p].assign(widx[p].size(), 0);
-    for (const auto& [side, seq] : inserted) {
-      const Record& record = *corpus_[side][pos_by_seq_[side][seq]];
-      is_delta[p][widx[p].LowerBound(
-          {record.keys[p], static_cast<uint8_t>(side), seq})] = 1;
-    }
-  }
-
-  const size_t shards = std::min(options_.num_threads, n);
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> local(shards);
-  std::vector<size_t> local_evals(shards, 0);
-  // Worker-lambda aliases: the caller holds mu_ (REQUIRES above) and
-  // keeps this state frozen while the workers read it; the lambda body is
-  // outside the analysis, so it reads through aliases bound here.
-  const auto& gaps_by_pass = gaps_scratch_;
-  const auto& raw_matches = raw_matches_;
-  // Each shard owns a contiguous range of positions — a contiguous range
-  // of the derived-key order — in every pass; a window crossing the shard
-  // boundary belongs to the shard of its left endpoint, which reads past
-  // its range into the (immutable) snapshot.
-  ParallelChunks(n, shards, [&](size_t w, size_t begin, size_t end) {
-    match::PairSet seen;  // dedupes across this shard's passes
-    for (size_t p = 0; p < passes; ++p) {
-      const SortedKeyIndex& idx = widx[p];
-      const size_t np = idx.size();
-      if (begin >= np) continue;
-      const std::vector<size_t>& gaps = gaps_by_pass[p];
-      // One contiguous walk per shard per pass: the owned range plus the
-      // window tail read past the boundary.
-      const auto span = idx.Span(begin, std::min(np, end + window - 1));
-      for (size_t i = begin; i < end && i < np; ++i) {
-        const size_t jhi = std::min(np, i + window);
-        for (size_t j = i + 1; j < jhi; ++j) {
-          const IndexedEntry& a = *span[i - begin];
-          const IndexedEntry& b = *span[j - begin];
-          if (a.side == b.side) continue;
-          if (!is_delta[p][i] && !is_delta[p][j] &&
-              !(!gaps.empty() && SpansGap(gaps, i, j))) {
-            continue;
-          }
-          auto [l, r] = seq_pair(a, b);
-          if (raw_matches.Contains(l, r)) continue;
-          if (!seen.Add(l, r)) continue;
-          ++local_evals[w];
-          if (eval(l, r)) local[w].emplace_back(l, r);
-        }
-      }
-    }
-  });
-
-  match::PairSet merged;  // dedupes the same pair found by two shards
-  for (size_t w = 0; w < shards; ++w) {
-    report->pairs_evaluated += local_evals[w];
-    for (const auto& [l, r] : local[w]) {
-      if (merged.Add(l, r)) out->emplace_back(l, r);
-    }
-  }
-  return shards;
-}
-
-size_t MatchSession::ShardedBlockFlush(
-    const std::vector<std::pair<int, uint32_t>>& inserted,
-    const std::function<bool(uint32_t, uint32_t)>& eval,
-    std::vector<std::pair<uint32_t, uint32_t>>* out, IngestReport* report) {
-  // The delta's key range, sharded: the touched block keys in sorted
-  // order, split into contiguous ranges. Every candidate pair lives in
-  // exactly one block, so shard outputs are disjoint.
-  std::vector<std::string> touched;
-  std::unordered_set<uint64_t> delta;
-  for (const auto& [side, seq] : inserted) {
-    touched.push_back(corpus_[side][pos_by_seq_[side][seq]]->keys[0]);
-    delta.insert(Handle(side, seq));
-  }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  if (touched.empty()) return 1;
-
-  const candidate::BlockIndex* blocks = indexes_->block();
-  const size_t shards = std::min(options_.num_threads, touched.size());
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> local(shards);
-  std::vector<size_t> local_evals(shards, 0);
-  // Worker-lambda alias; see ShardedWindowFlush.
-  const auto& raw_matches = raw_matches_;
-  ParallelChunks(touched.size(), shards,
-                 [&](size_t w, size_t begin, size_t end) {
-                   for (size_t k = begin; k < end; ++k) {
-                     const candidate::BlockIndex::Block* block =
-                         blocks->Find(touched[k]);
-                     if (block == nullptr) continue;
-                     for (uint32_t l : block->left) {
-                       for (uint32_t r : block->right) {
-                         if (delta.count(Handle(0, l)) == 0 &&
-                             delta.count(Handle(1, r)) == 0) {
-                           continue;
-                         }
-                         if (raw_matches.Contains(l, r)) continue;
-                         ++local_evals[w];
-                         if (eval(l, r)) local[w].emplace_back(l, r);
-                       }
-                     }
-                   }
-                 });
-  for (size_t w = 0; w < shards; ++w) {
-    report->pairs_evaluated += local_evals[w];
-    out->insert(out->end(), local[w].begin(), local[w].end());
-  }
-  return shards;
 }
 
 size_t MatchSession::pending_ops() const {

@@ -1,9 +1,7 @@
 #ifndef MDMATCH_API_SESSION_H_
 #define MDMATCH_API_SESSION_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -14,12 +12,10 @@
 
 #include "api/plan.h"
 #include "candidate/catalog.h"
-#include "candidate/indexed_entry.h"
 #include "candidate/snapshot.h"
 #include "match/clustering.h"
 #include "match/compiled_eval.h"
 #include "match/match_result.h"
-#include "match/pair_cache.h"
 #include "match/persistent_pairs.h"
 #include "schema/instance.h"
 #include "util/arena.h"
@@ -31,49 +27,28 @@ namespace mdmatch::api {
 
 /// Runtime knobs of a MatchSession.
 struct SessionOptions {
-  /// Worker threads for rule evaluation and for sharded flushes.
-  /// Results are identical for every thread count.
+  /// Worker threads for rule evaluation. Results are identical for every
+  /// thread count.
   size_t num_threads = 1;
-  /// Minimum candidate pairs per worker in the (unsharded) evaluation
-  /// stage; below it the stage stays sequential. 0 disables the scaling.
+  /// Minimum candidate pairs per worker in the evaluation stage; below it
+  /// the stage stays sequential. 0 disables the scaling.
   size_t min_pairs_per_thread = 2048;
-  /// A flush whose delta (upserts + removes) reaches this many records is
-  /// executed shard-wise: the derived-key order is split into contiguous
-  /// ranges, one worker per range, with windows crossing a shard boundary
-  /// handled by the owner of the left endpoint; candidate generation and
-  /// rule evaluation fuse per shard and only match reports are merged.
-  /// 0 disables sharding (the delta path is always used).
-  size_t shard_min_delta = 4096;
-  /// Entry budget of the per-session pair-decision cache (0 disables).
-  /// Flushes re-examine pairs around insertions, removal gaps and drifted
-  /// windows; cached decisions — keyed by (TupleId, value fingerprint) on
-  /// both sides — let those re-examinations skip rule evaluation when the
-  /// records did not change. Results are identical with the cache on or
-  /// off, up to 64-bit fingerprint collisions on a recycled id (see
-  /// match/pair_cache.h).
-  size_t pair_cache_capacity = 0;
-  /// Doorkeeper admission for the pair-decision cache: a pair's decision
-  /// enters the LRU only on its second miss, so one-hit-wonder keys from
-  /// id-recycling churn stop evicting the hot working set (compare
-  /// IngestReport::cache_evictions with and without). Ignored without
-  /// pair_cache_capacity; never changes results.
-  bool cache_doorkeeper = false;
-  /// Route delta-path rule evaluation through the SoA batch evaluator
-  /// (pair strips, SIMD atom kernels, the session's reusable arena) when
-  /// the compiled evaluator reports the batch path profitable (an
-  /// equality-only atom basis — see CompiledEvaluator::BatchProfitable).
-  /// Decisions are bit-identical to the scalar path. Sharded flushes
-  /// always use the scalar per-shard loops regardless.
+  /// Route rule evaluation through the SoA batch evaluator (pair strips,
+  /// SIMD atom kernels, the session's reusable arena) when the compiled
+  /// evaluator reports the batch path profitable (an equality-only atom
+  /// basis — see CompiledEvaluator::BatchProfitable). Decisions are
+  /// bit-identical to the scalar path.
   bool batch_eval = true;
-  /// Optional shared index catalog. Sessions created with the same
-  /// catalog, an identical compiled plan (keyed by PlanFingerprint) and
-  /// the same corpus_id attach to one candidate::IndexCatalog entry: the
-  /// first session to flush a given delta builds the next index snapshot,
-  /// every other session adopts it (IngestReport::index_reused), so index
-  /// construction is paid once per corpus instead of once per session.
-  /// Sharing pays off when the sessions ingest identical delta streams;
-  /// divergence is detected by delta fingerprint and degrades to private
-  /// index builds — results are bit-identical either way.
+  /// Optional shared catalog. Sessions created with the same catalog, an
+  /// identical compiled plan (keyed by PlanFingerprint) and the same
+  /// corpus_id attach to one candidate::IndexCatalog entry: the first
+  /// session to flush a given delta builds the next published state
+  /// (indexes, matches, clusters), every other session adopts it
+  /// (IngestReport::match_reused), so the work is paid once per corpus
+  /// instead of once per session. Sharing pays off when the sessions
+  /// ingest identical delta streams; divergence is detected by delta
+  /// fingerprint and degrades to private builds — results are
+  /// bit-identical either way.
   std::shared_ptr<candidate::IndexCatalog> catalog;
   /// Names the corpus within the catalog (ignored without `catalog`).
   std::string corpus_id;
@@ -87,14 +62,6 @@ struct IngestReport {
   size_t matches_added = 0;
   size_t matches_dropped = 0;  ///< retired with their records or drifted
                                ///< out of every window
-  size_t shards_used = 1;      ///< 1 = delta path, >1 = sharded flush
-  size_t cache_hits = 0;       ///< pairs decided from the pair-decision cache
-  size_t cache_lookups = 0;    ///< pair-cache probes this flush (hits+misses)
-  size_t cache_evictions = 0;  ///< pair-cache LRU entries evicted this flush
-  /// True when this flush adopted an index snapshot another session already
-  /// built for the same (base version, delta) through a shared
-  /// candidate::IndexCatalog entry, skipping the merge entirely.
-  bool index_reused = false;
   /// True when this flush adopted a whole match state (pairs + clusters +
   /// corpus maps) another session already published for the same (base
   /// version, delta) through the shared catalog entry's match store,
@@ -123,12 +90,11 @@ struct IngestReport {
   size_t arena_bytes = 0;  ///< batch-arena bytes used by this flush
   double index_seconds = 0;    ///< corpus bookkeeping + index merge
   double match_seconds = 0;    ///< candidate scans + rule evaluation
-  double cluster_seconds = 0;  ///< match revalidation + union-find upkeep
+  double cluster_seconds = 0;  ///< drift re-rank + cluster upkeep + publish
   // Finer-grained phases (each nested inside one aggregate above):
   double merge_seconds = 0;   ///< index delta merge alone (in index_seconds)
   double scan_seconds = 0;    ///< candidate scans alone (in match_seconds)
-  double eval_seconds = 0;    ///< rule evaluation alone (in match_seconds;
-                              ///< sharded flushes fuse scan+eval here)
+  double eval_seconds = 0;    ///< rule evaluation alone (in match_seconds)
   double rerank_seconds = 0;  ///< windowing drift re-rank (in
                               ///< cluster_seconds)
   double publish_seconds = 0;  ///< building + swapping in the new
@@ -140,10 +106,9 @@ struct IngestReport {
 };
 
 /// One corpus record as the session stores it: the tuple plus everything
-/// derived from it (sort/block keys, evaluator profile, cache
-/// fingerprint). Shared immutably between the session's build side and
-/// every published generation — an upsert replaces the pointer, never the
-/// record.
+/// derived from it (sort/block keys, evaluator profile). Shared
+/// immutably between the session's build side and every published
+/// generation — an upsert replaces the pointer, never the record.
 struct SessionRecord {
   Tuple tuple;
   uint32_t seq = 0;  ///< per-side ingestion sequence, stable for life
@@ -152,9 +117,6 @@ struct SessionRecord {
   /// Derived per-record values for the compiled evaluator (empty when
   /// the plan's atoms need none).
   match::RecordProfile profile;
-  /// Value fingerprint for pair-decision cache keys (0 when the cache
-  /// is off).
-  uint64_t fingerprint = 0;
 };
 using SessionRecordPtr = std::shared_ptr<const SessionRecord>;
 
@@ -309,31 +271,28 @@ class SessionView {
 /// the staged delta against the indexed corpus (plus intra-delta pairs)
 /// instead of re-blocking the world. Match state is maintained
 /// incrementally — standing pairs live in a persistent pair set, cluster
-/// handles merge per new match — and Matches() / ClusterOf() are
-/// queryable between ingests. Publishing is O(delta) too: the queryable
-/// state (SharedMatchState) is persistent tries frozen in O(1), and
-/// catalog sessions share whole published states through the entry's
-/// match store (IngestReport::match_reused), not just index snapshots.
+/// handles are recomputed only for the clusters a flush touched — and
+/// Matches() / ClusterOf() are queryable between ingests. Publishing is
+/// O(delta) too: the queryable state (SharedMatchState) is persistent
+/// tries frozen in O(1), and catalog sessions share whole published
+/// states through the entry's match store (IngestReport::match_reused).
 ///
 /// The contract that makes the incrementality trustworthy: after any
 /// sequence of Upsert / Remove / Flush calls, Matches() and Clusters()
 /// are exactly what one-shot Executor::Run produces over Corpus() — bit
-/// for bit, for every thread and shard count, with or without a shared
-/// index catalog. For windowing plans this includes the non-local effects
-/// of the sorted order: a flush re-examines pairs pushed together by
-/// removals (they may newly match) and retires standing matches pushed
-/// apart by insertions (they are no longer sorted-neighborhood
-/// candidates) — the latter re-rank resolves every standing pair's
-/// per-pass ranks either by direct index queries or, past a size
-/// threshold, from one ordered walk per pass with comparison-free O(1)
-/// distance checks (see Flush).
+/// for bit, for every thread count, with or without a shared catalog.
+/// For windowing plans this includes the non-local effects of the sorted
+/// order: a flush re-examines pairs pushed together by removals (they
+/// may newly match) and retires standing matches pushed apart by
+/// insertions (they are no longer sorted-neighborhood candidates) — the
+/// latter re-rank resolves every standing pair's per-pass ranks either
+/// by direct index queries or, past a size threshold, from one ordered
+/// walk per pass with comparison-free O(1) distance checks (see
+/// RetireDriftLocked).
 ///
 /// Records are addressed by (side, TupleId): side 0 is the plan's left
 /// relation, side 1 the right. Upserting an existing id replaces its
 /// values; the record keeps its position in the corpus order.
-///
-/// Oversized deltas (an initial bulk load, a backfill) shard internally
-/// across the executor thread pool — see SessionOptions::shard_min_delta.
 ///
 /// Concurrency model: *generation publishing*. Writers (Upsert / Remove /
 /// Flush) serialize on one internal mutex and mutate only build-side
@@ -448,41 +407,59 @@ class MatchSession {
 
  private:
   using Record = SessionRecord;
+  using SeqPairs = std::vector<std::pair<uint32_t, uint32_t>>;
+  /// One flush's working state, handed from stage to stage (session.cc).
+  struct FlushDelta;
 
   static uint64_t Handle(int side, uint32_t seq) {
     return (static_cast<uint64_t>(side) << 32) | seq;
   }
 
   Status CheckSide(int side) const;
-  std::vector<std::string> RenderKeys(const Tuple& tuple, int side) const;
-  /// Fills the record's evaluator profile and cache fingerprint (those the
-  /// current configuration needs) from its tuple.
-  void RenderDerived(Record* record, int side) const;
-  void RebuildPositionsLocked(int side) REQUIRES(mu_);
-  /// Recomputes every cluster handle (and the member lists) from the
-  /// standing match graph with a scratch union-find — the O(corpus) slow
-  /// path a flush with retirements takes; match-only flushes maintain
-  /// handles incrementally through MergeHandlesLocked.
-  void RebuildClustersLocked() REQUIRES(mu_);
-  /// Localized split repair after window-drift retirements: recomputes
-  /// connectivity only for the clusters that lost an edge (`dropped`
-  /// holds the retired pairs), leaving every other handle untouched.
-  /// Exact — a dropped edge cannot split a cluster that did not hold it.
-  void RepairClustersLocked(
-      const std::vector<std::pair<uint32_t, uint32_t>>& dropped)
+  /// A fresh record for `tuple`: rendered keys plus evaluator profile.
+  SessionRecordPtr MakeRecord(Tuple tuple, int side, uint32_t seq) const;
+
+  // ---- Flush stages, in order (each REQUIRES(mu_)) ----
+
+  /// Consumes the staging map: applies removals, updates and inserts to
+  /// the slot table and the persistent tries, collects the index delta,
+  /// and retires the standing matches of removed and updated records.
+  void ResolveDeltaLocked(FlushDelta* delta, IngestReport* report)
       REQUIRES(mu_);
-  /// Incremental handle maintenance for one new match (l, r): unions the
-  /// two clusters under the smaller handle, rewriting only the losing
-  /// cluster's members.
-  void MergeHandlesLocked(uint32_t l, uint32_t r) REQUIRES(mu_);
+  /// Advances the index snapshot chain by the delta and locates the
+  /// removal gaps in the new order (merge_seconds).
+  void AdvanceIndexesLocked(FlushDelta* delta, IngestReport* report)
+      REQUIRES(mu_);
+  /// Candidate pairs the delta creates: the windows around every
+  /// inserted entry and every removal gap, or the inserted records'
+  /// blocks; standing matches are skipped (scan_seconds).
+  void ScanLocked(FlushDelta* delta, IngestReport* report) REQUIRES(mu_);
+  /// Evaluates the candidates (batch strips when profitable, else scalar
+  /// across num_threads) into delta->new_matches (eval_seconds).
+  void EvaluateLocked(FlushDelta* delta, IngestReport* report)
+      REQUIRES(mu_);
+  /// Retires standing windowing matches that insertions pushed out of
+  /// every window (rerank_seconds).
+  void RetireDriftLocked(FlushDelta* delta, IngestReport* report)
+      REQUIRES(mu_);
+  /// Folds the new matches into the pair sets and recomputes cluster
+  /// handles over only the clusters the flush touched: one union-find
+  /// pass over their live members, scanning standing pairs only when
+  /// some cluster lost an edge.
+  void ReclusterLocked(FlushDelta* delta, IngestReport* report)
+      REQUIRES(mu_);
   /// Freezes the build-side state into the next SharedMatchState under
-  /// `version` and swaps in the generation wrapping it (the single
-  /// publication point). O(delta): every container is persistent or
-  /// moved. `alloc_base` is the persistent structures' alloc_bytes sum
-  /// sampled at flush start (their growth is publish_bytes_copied).
-  /// Returns the published state (for the catalog match store).
+  /// `version` and publishes it (publish_seconds). O(delta): every
+  /// container is persistent. `alloc_base` is the persistent structures'
+  /// alloc_bytes sum sampled at flush start (their growth is
+  /// publish_bytes_copied). Returns the state (for the catalog store).
   SharedMatchStatePtr PublishLocked(uint64_t version, size_t alloc_base,
                                     IngestReport* report) REQUIRES(mu_);
+
+  /// Swaps in the next generation wrapping `state` — the single
+  /// publication point — and fills the report's standing counts.
+  void SwapInLocked(SharedMatchStatePtr state, IngestReport* report)
+      REQUIRES(mu_);
   /// Adopts a state a sibling catalog session already published for this
   /// exact transition: publishes it as this session's next generation and
   /// drops the build-side containers (build_stale_) — per-replica match
@@ -503,50 +480,22 @@ class MatchSession {
     return published_;
   }
 
-  /// Evaluates a deduped candidate list, parallel-chunked like the
-  /// Executor's match stage; appends passing pairs to `out` in
-  /// deterministic order. `eval` runs on worker threads: it must capture
-  /// any mu_-guarded state through local aliases taken by the caller
-  /// (which holds mu_ and keeps that state frozen for the whole call).
-  void EvaluatePairs(
-      const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
-      const std::function<bool(uint32_t, uint32_t)>& eval,
-      std::vector<std::pair<uint32_t, uint32_t>>* out, IngestReport* report);
-
-  /// Batched form of EvaluatePairs for the delta paths: regroups the
-  /// candidates into strips (candidate::BuildStrips), probes the pair
-  /// cache per lane up front, and runs CompiledEvaluator::MatchesBatch
-  /// over columns built in batch_arena_. Appends passing pairs to `out`
-  /// in the same deterministic (input) order as EvaluatePairs. Requires
+  /// Scalar evaluation of a deduped candidate list, parallel-chunked
+  /// like the Executor's match stage; appends passing pairs to `out` in
+  /// input order.
+  void EvaluatePairs(const SeqPairs& pairs, SeqPairs* out,
+                     IngestReport* report) REQUIRES(mu_);
+  /// Batched form of EvaluatePairs: regroups the candidates into strips
+  /// (candidate::BuildStrips) and runs CompiledEvaluator::MatchesBatch
+  /// over columns built in batch_arena_. Same output order. Requires
   /// plan_->evaluator().SupportsBatch().
-  void EvaluatePairsBatch(
-      const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
-      std::atomic<size_t>* cache_hits,
-      std::vector<std::pair<uint32_t, uint32_t>>* out, IngestReport* report)
-      REQUIRES(mu_);
-
-  /// Sharded flush paths (oversized deltas); both return the shard count
-  /// used. They hold mu_ for their whole run; their ParallelChunks
-  /// workers read only snapshot state and lock-scope aliases (see
-  /// EvaluatePairs).
-  size_t ShardedWindowFlush(
-      const std::vector<std::pair<int, uint32_t>>& inserted,
-      const std::function<bool(uint32_t, uint32_t)>& eval,
-      const std::function<std::pair<uint32_t, uint32_t>(
-          const candidate::IndexedEntry&, const candidate::IndexedEntry&)>&
-          seq_pair,
-      size_t window, std::vector<std::pair<uint32_t, uint32_t>>* out,
-      IngestReport* report) REQUIRES(mu_);
-  size_t ShardedBlockFlush(
-      const std::vector<std::pair<int, uint32_t>>& inserted,
-      const std::function<bool(uint32_t, uint32_t)>& eval,
-      std::vector<std::pair<uint32_t, uint32_t>>* out, IngestReport* report)
-      REQUIRES(mu_);
+  void EvaluatePairsBatch(const SeqPairs& pairs, SeqPairs* out,
+                          IngestReport* report) REQUIRES(mu_);
 
   PlanPtr plan_;
   SessionOptions options_;
 
-  /// The published side: the current generation, swapped by PublishLocked
+  /// The published side: the current generation, swapped by SwapInLocked
   /// and acquired by every query. The latch guards nothing but the
   /// pointer copy (a few atomic ops): writers hold it for one swap per
   /// flush, readers for one shared_ptr copy per query — queries therefore
@@ -563,19 +512,22 @@ class MatchSession {
 
   /// ---- build side: guarded by mu_, never read by queries ----
   mutable util::Mutex mu_;
-  std::vector<SessionRecordPtr> corpus_[2]
-      GUARDED_BY(mu_);  // ingestion order
-  /// seq -> corpus position, dense (seqs are allocated consecutively;
-  /// slots of removed records go stale and are never consulted). A flat
-  /// array because this lookup sits on the hottest flush paths — every
-  /// pair evaluation resolves both records through it.
-  std::vector<uint32_t> pos_by_seq_[2] GUARDED_BY(mu_);
-  uint32_t next_seq_[2] GUARDED_BY(mu_) = {0, 0};
+
+  /// The build-side record table, one per side, indexed by seq (seqs are
+  /// allocated consecutively and never reused). A removed record leaves
+  /// its slot with a null record. `handle` is the build-side mirror of
+  /// the cluster handle published in ids_. A flat array because this
+  /// lookup sits on the hottest flush paths — every pair evaluation
+  /// resolves both records through it.
+  struct Slot {
+    SessionRecordPtr record;
+    uint64_t handle = 0;
+  };
+  std::vector<Slot> slots_[2] GUARDED_BY(mu_);
 
   /// The persistent mirrors of the queryable state — what PublishLocked
   /// freezes in O(1). corpus_trie_: seq -> record; ids_: id -> (seq,
-  /// handle). ids_ doubles as the build side's id lookup (there is no
-  /// separate pos_by_id map): position = pos_by_seq_[ids_.Get(id)->seq].
+  /// handle), which doubles as the build side's id lookup.
   util::PersistentTrie<SessionRecordPtr> corpus_trie_[2] GUARDED_BY(mu_);
   util::PersistentTrie<IdEntry> ids_[2] GUARDED_BY(mu_);
 
@@ -597,16 +549,14 @@ class MatchSession {
 
   /// The current version of the persistent candidate indexes: one sorted
   /// treap per windowing pass, or the block index, frozen per flush.
-  /// Readers (queries, shard workers, sibling catalog sessions) hold the
-  /// snapshot through their generation; Flush advances to the next
-  /// version without disturbing them.
+  /// Readers (queries, sibling catalog sessions) hold the snapshot
+  /// through their generation; Flush advances to the next version
+  /// without disturbing them.
   candidate::IndexSnapshotPtr indexes_ GUARDED_BY(mu_);
-  /// Version counter for private (non-catalog) snapshot chains.
-  uint64_t next_version_ GUARDED_BY(mu_) = 1;
   /// Publication counter behind SessionGeneration::generation.
   uint64_t next_generation_ GUARDED_BY(mu_) = 1;
   /// The version of the last published SharedMatchState — the base of the
-  /// next transition (keys the catalog match-store memo).
+  /// next transition (keys the catalog match store).
   uint64_t state_version_ GUARDED_BY(mu_) = 0;
   /// State-version counter for private (non-catalog) chains; catalog
   /// sessions draw versions from the shared entry instead.
@@ -616,41 +566,22 @@ class MatchSession {
   /// itself internally), so it needs no guard.
   candidate::IndexCatalog::EntryPtr catalog_entry_;
 
-  /// Cluster handles, incrementally maintained: handle_by_seq_ is the
-  /// dense build-side mirror of the handles published in ids_ (stale
-  /// slots after removal, like pos_by_seq_); cluster_members_ lists the
-  /// members of every multi-record cluster, keyed by its handle
-  /// (singletons are implicit — a record's own packed (side, seq) is its
-  /// handle until it matches). Retirements make handles stale as a whole
-  /// (clusters_stale_) and the next publish rebuilds them from the
-  /// surviving pairs; match-only flushes merge incrementally.
-  struct ClusterMember {
-    uint64_t packed;  ///< (side << 32) | seq
-    TupleId id;
-  };
-  std::vector<uint64_t> handle_by_seq_[2] GUARDED_BY(mu_);
-  std::unordered_map<uint64_t, std::vector<ClusterMember>> cluster_members_
+  /// Members of every multi-record cluster, as packed (side, seq), keyed
+  /// by the cluster's handle: the minimum packed member. Singletons are
+  /// implicit — a record's own packed (side, seq) is its handle until it
+  /// matches.
+  std::unordered_map<uint64_t, std::vector<uint64_t>> cluster_members_
       GUARDED_BY(mu_);
-  bool clusters_stale_ GUARDED_BY(mu_) = false;
 
   /// True after AdoptLocked dropped the build-side containers: the next
   /// flush this session has to build itself first re-materializes them
   /// from the published state (MaterializeLocked).
   bool build_stale_ GUARDED_BY(mu_) = false;
 
-  /// Removal-gap positions per windowing pass, valid during one Flush
-  /// (filled after the index merge, read by the scan paths).
-  std::vector<std::vector<size_t>> gaps_scratch_ GUARDED_BY(mu_);
-
   /// Bulk-rerank rank table, reused across flushes so the ~1 MB
   /// allocation is paid once (every slot a flush reads is rewritten by
   /// its own full-index walks first).
   std::vector<uint32_t> rank_scratch_[2] GUARDED_BY(mu_);
-
-  /// Optional pair-decision cache (SessionOptions::pair_cache_capacity).
-  /// The pointer is set by the constructor and immutable afterwards; the
-  /// cache itself is internally sharded-locked (match/pair_cache.h).
-  std::unique_ptr<match::PairDecisionCache> pair_cache_;
 
   /// Reusable arena for the batch-evaluation transients of one flush
   /// (columns, strips, lane masks). Reset at the start of every

@@ -4,31 +4,6 @@
 
 namespace mdmatch::candidate {
 
-IndexSnapshotPtr IndexCatalog::Entry::Advance(
-    uint64_t base_version, uint64_t delta_fp, bool* reused,
-    const std::function<IndexSnapshotPtr(uint64_t version)>& build) {
-  util::MutexLock lock(mu_);
-  const std::pair<uint64_t, uint64_t> key{base_version, delta_fp};
-  if (auto found = memo_.find(key); found != memo_.end()) {
-    if (reused != nullptr) *reused = true;
-    return found->second;
-  }
-  if (reused != nullptr) *reused = false;
-  IndexSnapshotPtr built = build(next_version_++);
-  memo_.emplace(key, built);
-  memo_order_.push_back(key);
-  if (memo_order_.size() > kMemoCapacity) {
-    memo_.erase(memo_order_.front());
-    memo_order_.pop_front();
-  }
-  return built;
-}
-
-size_t IndexCatalog::Entry::memo_size() const {
-  util::MutexLock lock(mu_);
-  return memo_.size();
-}
-
 IndexCatalog::MatchStateGrant IndexCatalog::Entry::BeginMatchState(
     uint64_t base_version, uint64_t delta_fp) {
   util::MutexLock lock(state_mu_);

@@ -3,45 +3,39 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
 
-#include "candidate/snapshot.h"
 #include "util/thread_annotations.h"
 
 namespace mdmatch::candidate {
 
-/// \brief A process-wide registry of shared candidate indexes, keyed by
+/// \brief A process-wide registry of shared match states, keyed by
 /// (plan fingerprint, corpus id).
 ///
 /// Sessions that stand on the same compiled plan and ingest the same
 /// corpus (same corpus id, same delta stream) attach to one catalog
-/// entry; the first session to flush a given delta builds the next
-/// IndexSnapshot and publishes it, every other session *adopts* it —
-/// index construction happens once per corpus instead of once per
-/// session. Divergence is safe, not fatal: transitions are memoized by
-/// (base version, delta fingerprint), so a session whose stream differs
-/// simply misses the memo and builds privately (its versions branch off;
-/// results are unaffected either way).
+/// entry. The entry hosts a *match store*: published match states
+/// (indexes + pairs + clusters + corpus maps) memoized by (base state
+/// version, delta fingerprint). The first session to flush a given delta
+/// builds the next state and publishes it; every other session *adopts*
+/// it — the whole flush happens once per corpus instead of once per
+/// session. Divergence is safe, not fatal: a session whose stream
+/// differs simply misses the memo and builds privately (its versions
+/// branch off; results are unaffected either way).
 ///
-/// Beyond the indexes, an entry also hosts a *match store*: the same
-/// memoized-transition protocol applied to a whole published match state
-/// (pairs + clusters + corpus maps) — see BeginMatchState. The state is
-/// type-erased (`shared_ptr<const void>`) because it is an api-layer
-/// object (api::SharedMatchState) and the candidate layer sits below api
-/// in the dependency DAG; the api layer owns the cast on both ends.
+/// The state is type-erased (`shared_ptr<const void>`) because it is an
+/// api-layer object (api::SharedMatchState) and the candidate layer sits
+/// below api in the dependency DAG; the api layer owns the cast on both
+/// ends.
 ///
-/// Thread safety: the catalog map and each entry have their own mutex. A
-/// build runs under the entry lock, which serializes index construction
-/// (not matching) across the sessions sharing the entry — the point is to
-/// do the work once, and the losers of the race want the winner's result
-/// anyway. Match states are built *outside* any entry lock (the build is
-/// a whole flush); the store serializes builders with a flag + condvar
-/// so a racing session waits for the winner's publication and then
-/// adopts it from the memo.
+/// Thread safety: the catalog map and each entry have their own mutex.
+/// Match states are built *outside* any entry lock (the build is a whole
+/// flush); the store serializes builders with a flag + condvar so a
+/// racing session waits for the winner's publication and then adopts it
+/// from the memo.
 class IndexCatalog {
  public:
   /// What BeginMatchState granted: an already-published state to adopt
@@ -52,22 +46,10 @@ class IndexCatalog {
     uint64_t build_version = 0;
   };
 
-  /// One (plan fingerprint, corpus id) slot: the memoized transition
-  /// chain and the version counter shared by its sessions.
+  /// One (plan fingerprint, corpus id) slot: the match store and the
+  /// state-version counter shared by its sessions.
   class Entry {
    public:
-    /// The memoized delta transition. If some session already advanced a
-    /// snapshot of `base_version` under the same `delta_fp`, its result
-    /// is returned and `*reused` is set; otherwise `build(version)` runs
-    /// (under the entry lock) with a freshly assigned version number and
-    /// its result is published for the others.
-    IndexSnapshotPtr Advance(
-        uint64_t base_version, uint64_t delta_fp, bool* reused,
-        const std::function<IndexSnapshotPtr(uint64_t version)>& build);
-
-    /// Distinct transitions currently memoized (observability/tests).
-    size_t memo_size() const;
-
     /// The match-store transition for (base_version, delta_fp). A memo
     /// hit returns the published state to adopt. Otherwise the caller
     /// becomes the builder (grant.adopted == nullptr) and MUST follow up
@@ -94,16 +76,6 @@ class IndexCatalog {
     /// correct, just unshared.
     static constexpr size_t kMemoCapacity = 16;
 
-    mutable util::Mutex mu_;
-    uint64_t next_version_ GUARDED_BY(mu_) = 1;
-    std::map<std::pair<uint64_t, uint64_t>, IndexSnapshotPtr> memo_
-        GUARDED_BY(mu_);
-    std::deque<std::pair<uint64_t, uint64_t>> memo_order_
-        GUARDED_BY(mu_);  // FIFO
-
-    /// ---- match store (independent lock; never held together with mu_
-    /// except transiently by a flush that also advances the index memo —
-    /// state_mu_ acquires nothing while held, so no cycle is possible) ----
     mutable util::Mutex state_mu_;
     util::CondVar state_cv_;
     bool state_building_ GUARDED_BY(state_mu_) = false;
@@ -119,10 +91,9 @@ class IndexCatalog {
 
   /// The entry for (plan_fingerprint, corpus_id), created on first use.
   /// Entries live as long as the catalog. Memory note: the memo retains
-  /// up to kMemoCapacity snapshots; both index kinds are persistent
-  /// (order-statistic treaps for windowing, the per-block key treap for
-  /// blocking), so each memoized transition shares all untouched
-  /// structure with its base and costs O(delta · log n) time and memory.
+  /// up to kMemoCapacity states; every published state is persistent, so
+  /// each memoized transition shares all untouched structure with its
+  /// base and costs O(delta · log n) memory.
   EntryPtr Acquire(uint64_t plan_fingerprint, const std::string& corpus_id);
 
   size_t num_entries() const;

@@ -19,7 +19,7 @@ IndexSnapshotPtr IndexSnapshot::Advance(
     const std::vector<std::vector<IndexedEntry>>& pass_removes,
     std::vector<std::vector<IndexedEntry>> pass_inserts,
     const std::vector<IndexedEntry>& block_removes,
-    const std::vector<IndexedEntry>& block_inserts, uint64_t version) {
+    const std::vector<IndexedEntry>& block_inserts) {
   assert(base != nullptr && "Advance requires a base snapshot");
   assert(pass_removes.size() == base->window_.size() &&
          pass_inserts.size() == base->window_.size() &&
@@ -44,7 +44,6 @@ IndexSnapshotPtr IndexSnapshot::Advance(
     }
     base.reset();
   }
-  next->version_ = version;
 
   for (size_t p = 0; p < next->window_.size(); ++p) {
     next->window_[p].Apply(pass_removes[p], std::move(pass_inserts[p]));

@@ -1,7 +1,6 @@
 #ifndef MDMATCH_CANDIDATE_SNAPSHOT_H_
 #define MDMATCH_CANDIDATE_SNAPSHOT_H_
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -13,7 +12,7 @@ namespace mdmatch::candidate {
 
 class IndexSnapshot;
 /// The form a snapshot is shared in: deeply immutable, reference-counted.
-/// Shard workers, concurrent queries and other sessions (through an
+/// Concurrent queries and other sessions (through an
 /// IndexCatalog) all read through one of these while the owning session
 /// keeps advancing — an advance never mutates a snapshot someone else can
 /// still see.
@@ -23,7 +22,7 @@ using IndexSnapshotPtr = std::shared_ptr<const IndexSnapshot>;
 /// indexes: the per-pass sorted windowing indexes, or the blocking index.
 ///
 /// Versions form a chain (or, when sessions diverge, a tree): each
-/// Advance applies one flush's delta and yields the next version. Both
+/// Advance applies one flush's delta and yields the next snapshot. Both
 /// index kinds are persistent — windowing indexes are order-statistic
 /// treaps, the blocking index a per-block key treap — so an advance costs
 /// O(delta · log n) and shares all untouched nodes (and untouched blocks)
@@ -31,12 +30,12 @@ using IndexSnapshotPtr = std::shared_ptr<const IndexSnapshot>;
 /// alive. A parent nobody else references is recycled in place.
 class IndexSnapshot {
  public:
-  /// The starting version: empty indexes, `passes` windowing passes
-  /// (0 for blocking plans), version 0.
+  /// The starting snapshot: empty indexes, `passes` windowing passes
+  /// (0 for blocking plans).
   static IndexSnapshotPtr Empty(size_t passes, bool blocking);
 
-  /// Applies one delta to `base` and returns the resulting snapshot with
-  /// `version` stamped on it. `base` is passed by value on purpose: a
+  /// Applies one delta to `base` and returns the resulting snapshot.
+  /// `base` is passed by value on purpose: a
   /// caller that moves in its only reference lets Advance recycle the
   /// object in place; otherwise the result is a fresh snapshot — an O(1)
   /// structural copy of the persistent indexes — and `base` survives
@@ -53,9 +52,7 @@ class IndexSnapshot {
       const std::vector<std::vector<IndexedEntry>>& pass_removes,
       std::vector<std::vector<IndexedEntry>> pass_inserts,
       const std::vector<IndexedEntry>& block_removes,
-      const std::vector<IndexedEntry>& block_inserts, uint64_t version);
-
-  uint64_t version() const { return version_; }
+      const std::vector<IndexedEntry>& block_inserts);
 
   /// The windowing indexes, one per pass (empty for blocking snapshots).
   const std::vector<SortedKeyIndex>& window_passes() const {
@@ -74,7 +71,6 @@ class IndexSnapshot {
   /// Owned per snapshot; copying the pointee is O(1) (persistent treap),
   /// so a non-recycled Advance copies instead of sharing a mutable index.
   std::unique_ptr<BlockIndex> block_;
-  uint64_t version_ = 0;
 };
 
 }  // namespace mdmatch::candidate

@@ -18,7 +18,7 @@ namespace mdmatch::candidate {
 /// frozen snapshot that structurally shares all untouched nodes with the
 /// evolving original. api::MatchSession keeps one per windowing pass: a
 /// flush merges a delta in O(delta · log n) instead of the O(corpus)
-/// rebuild a flat sorted vector costs, and readers (shard workers, other
+/// rebuild a flat sorted vector costs, and readers (queries, other
 /// sessions via candidate::IndexCatalog) scan an earlier snapshot without
 /// locks while the owner keeps inserting.
 ///

@@ -67,8 +67,8 @@ match::CandidateSet WindowCandidatesMultiPass(
 /// Lanes are the pairs renumbered into batch order: batch b covers lanes
 /// [batch_first_lane[b], batch_first_lane[b] + batches[b].size), and
 /// lane_pair[lane] is the pair's index in the original list — the map
-/// callers use to carry cache skip flags in and scatter decisions back
-/// out. All arrays live in the arena passed to BuildStrips.
+/// callers use to scatter decisions back out. All arrays live in the
+/// arena passed to BuildStrips.
 struct PairStrips {
   const match::PairBatch* batches = nullptr;
   const uint32_t* batch_first_lane = nullptr;  ///< [num_batches]

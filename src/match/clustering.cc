@@ -37,11 +37,6 @@ bool UnionFind::Union(size_t a, size_t b) {
   return true;
 }
 
-FrozenUnionFind::FrozenUnionFind(const UnionFind& uf)
-    : root_(uf.size()), components_(uf.num_components()) {
-  for (size_t i = 0; i < root_.size(); ++i) root_[i] = uf.Find(i);
-}
-
 Clustering ClusterPairs(const MatchResult& matches, size_t num_left,
                         size_t num_right) {
   const size_t nl = num_left;

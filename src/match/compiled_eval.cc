@@ -855,7 +855,7 @@ uint64_t CompiledEvaluator::EvalAtomChunk(const Atom& atom,
 void CompiledEvaluator::MatchesBatch(const BatchColumns& left,
                                      const BatchColumns& right,
                                      const PairBatch& batch,
-                                     const uint8_t* skip, uint8_t* decisions,
+                                     uint8_t* decisions,
                                      BatchStats* stats) const {
   assert(SupportsBatch());
   if (stats != nullptr) ++stats->strips;
@@ -863,13 +863,8 @@ void CompiledEvaluator::MatchesBatch(const BatchColumns& left,
       mode_ == Mode::kRules && (always_match_ || num_rules_ == 0);
   for (uint32_t base = 0; base < batch.size; base += 64) {
     const uint32_t count = std::min<uint32_t>(64, batch.size - base);
-    uint64_t active = count == 64 ? ~uint64_t{0} : (uint64_t{1} << count) - 1;
-    if (skip != nullptr) {
-      for (uint32_t i = 0; i < count; ++i) {
-        if (skip[base + i] != 0) active &= ~(uint64_t{1} << i);
-      }
-    }
-    if (active == 0) continue;
+    const uint64_t active =
+        count == 64 ? ~uint64_t{0} : (uint64_t{1} << count) - 1;
     if (stats != nullptr) {
       stats->lanes += static_cast<uint64_t>(std::popcount(active));
     }

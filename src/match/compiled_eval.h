@@ -214,16 +214,14 @@ class CompiledEvaluator {
 
   /// \brief Batched Matches over one PairBatch.
   ///
-  /// Writes decisions[i] = 1/0 for lane i of `batch`; lanes with
-  /// skip[i] != 0 (already decided by the pair cache) are left untouched
-  /// and never evaluated. `skip` may be null (evaluate all lanes).
-  /// Decisions are bit-identical to Matches on the same (tuple, profile)
+  /// Writes decisions[i] = 1/0 for lane i of `batch`. Decisions are
+  /// bit-identical to Matches on the same (tuple, profile)
   /// inputs — the strip layout, SIMD kernels and prefilters change cost,
   /// never bits. Requires SupportsBatch(). Const and thread-safe; stats
   /// may be null.
   void MatchesBatch(const BatchColumns& left, const BatchColumns& right,
-                    const PairBatch& batch, const uint8_t* skip,
-                    uint8_t* decisions, BatchStats* stats) const;
+                    const PairBatch& batch, uint8_t* decisions,
+                    BatchStats* stats) const;
 
   /// Unique atoms in the table (0 for an empty evaluator).
   size_t atom_count() const { return atoms_.size(); }

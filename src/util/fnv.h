@@ -8,10 +8,10 @@
 namespace mdmatch {
 
 /// FNV-1a 64-bit, the one hash family the codebase fingerprints with:
-/// plan-file checksums (api/plan_io), pair-cache value fingerprints
-/// (match/pair_cache), session delta fingerprints (api/session) and treap
-/// priorities (candidate/sorted_index) all fold bytes through these
-/// constants — one definition keeps their behavior in lockstep.
+/// plan-file checksums (api/plan_io), session delta fingerprints
+/// (api/session) and treap priorities (candidate/sorted_index,
+/// candidate/block_index) all fold bytes through these constants — one
+/// definition keeps their behavior in lockstep.
 inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
 inline constexpr uint64_t kFnvPrime = 1099511628211ULL;
 
@@ -38,7 +38,7 @@ inline uint64_t FnvMixU64(uint64_t hash, uint64_t value) {
 
 /// splitmix64 finalizer: turns a structured 64-bit value (an FNV state, a
 /// packed id) into a well-mixed one. Used where hash *quality* matters —
-/// cache shard selection, treap priorities.
+/// treap priorities.
 inline uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;

@@ -2,9 +2,9 @@
 // sessions (SessionOptions::catalog + candidate::IndexCatalog): sessions
 // attached to one catalog entry must produce matches, clusters and raw
 // cluster handles bit-identical to fully independent sessions — the only
-// observable difference is that one session builds each index snapshot /
-// match state and the others adopt it (IngestReport::index_reused,
-// IngestReport::match_reused) — including under concurrent flushes.
+// observable difference is that one session builds each published match
+// state (indexes included) and the others adopt it
+// (IngestReport::match_reused) — including under concurrent flushes.
 
 #include <algorithm>
 #include <cstdint>
@@ -96,7 +96,9 @@ class ApiCatalogTest : public testing::Test {
         auto ha = a.ClusterOf(side, id);
         auto hb = b.ClusterOf(side, id);
         ASSERT_EQ(ha.ok(), hb.ok()) << "side " << side << " row " << i;
-        if (ha.ok()) EXPECT_EQ(*ha, *hb) << "side " << side << " row " << i;
+        if (ha.ok()) {
+          EXPECT_EQ(*ha, *hb) << "side " << side << " row " << i;
+        }
       }
     }
   }
@@ -132,9 +134,9 @@ TEST_F(ApiCatalogTest, SharedEntryMatchesIndependentSessionsBitForBit) {
       ASSERT_TRUE(r1.ok() && r2.ok() && r3.ok());
       // The flush order is deterministic here: `first` builds, `second`
       // adopts, the lone session never shares.
-      EXPECT_FALSE(r1->index_reused);
-      EXPECT_TRUE(r2->index_reused);
-      EXPECT_FALSE(r3->index_reused);
+      EXPECT_FALSE(r1->match_reused);
+      EXPECT_TRUE(r2->match_reused);
+      EXPECT_FALSE(r3->match_reused);
       ExpectSameState(first, lone);
       ExpectSameState(second, lone);
     }
@@ -156,7 +158,7 @@ TEST_F(ApiCatalogTest, SharedEntryMatchesIndependentSessionsBitForBit) {
     auto r2 = second.Flush();
     auto r3 = lone.Flush();
     ASSERT_TRUE(r1.ok() && r2.ok() && r3.ok());
-    EXPECT_TRUE(r2->index_reused);
+    EXPECT_TRUE(r2->match_reused);
     ExpectSameState(first, lone);
     ExpectSameState(second, lone);
 
@@ -194,7 +196,6 @@ TEST_F(ApiCatalogTest, SharedMatchStoreBitIdenticalAcrossWaves) {
     // candidate generation, no pair evaluation, same leader counters.
     EXPECT_FALSE(r1->match_reused);
     EXPECT_TRUE(r2->match_reused);
-    EXPECT_TRUE(r2->index_reused);
     EXPECT_EQ(r2->pairs_evaluated, 0u);
     EXPECT_EQ(r2->matches_added, r1->matches_added);
     EXPECT_EQ(r2->matches_dropped, r1->matches_dropped);
@@ -352,11 +353,11 @@ TEST_F(ApiCatalogTest, EmptyFlushesDoNotDesynchronizeSharing) {
   ASSERT_TRUE(b.Flush().ok());
 
   // b issues extra empty flushes (a polling loop, a defensive flush):
-  // they must not advance its version or churn the transition memo.
+  // they must not advance its version or churn the match store.
   auto empty = b.Flush();
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(empty->upserted, 0u);
-  EXPECT_FALSE(empty->index_reused);
+  EXPECT_FALSE(empty->match_reused);
   ASSERT_TRUE(b.Flush().ok());
   EXPECT_EQ(a.indexes(), b.indexes());
 
@@ -364,7 +365,7 @@ TEST_F(ApiCatalogTest, EmptyFlushesDoNotDesynchronizeSharing) {
   ASSERT_TRUE(a.Flush().ok());
   auto rb = b.Flush();
   ASSERT_TRUE(rb.ok());
-  EXPECT_TRUE(rb->index_reused) << "empty flushes broke snapshot sharing";
+  EXPECT_TRUE(rb->match_reused) << "empty flushes broke state sharing";
   ExpectSameState(a, b);
 }
 
@@ -382,7 +383,7 @@ TEST_F(ApiCatalogTest, DivergingSessionFallsBackToPrivateBuilds) {
   ASSERT_TRUE(a.Flush().ok());
   auto rb = b.Flush();
   ASSERT_TRUE(rb.ok());
-  EXPECT_TRUE(rb->index_reused);
+  EXPECT_TRUE(rb->match_reused);
 
   // b diverges: different delta → different fingerprint → private build,
   // still correct against its own one-shot.
@@ -391,7 +392,7 @@ TEST_F(ApiCatalogTest, DivergingSessionFallsBackToPrivateBuilds) {
   ASSERT_TRUE(a.Flush().ok());
   rb = b.Flush();
   ASSERT_TRUE(rb.ok());
-  EXPECT_FALSE(rb->index_reused);
+  EXPECT_FALSE(rb->match_reused);
 
   for (MatchSession* session : {&a, &b}) {
     auto oneshot = Executor(*plan).Run(session->Corpus());
@@ -419,19 +420,17 @@ TEST_F(ApiCatalogTest, ConcurrentFlushesStaySharedAndIdentical) {
     UpsertRange({&a, &b, &lone}, begin, end);
     IngestReport ra;
     IngestReport rb;
-    // Both sessions flush the same delta at once: the entry lock makes
+    // Both sessions flush the same delta at once: the match store makes
     // one of them build and the other adopt, in either order.
     std::thread ta([&] { ra = *a.Flush(); });
     std::thread tb([&] { rb = *b.Flush(); });
     ta.join();
     tb.join();
     ASSERT_TRUE(lone.Flush().ok());
-    EXPECT_TRUE(ra.index_reused != rb.index_reused)
-        << "exactly one of two concurrent identical flushes should adopt";
     EXPECT_TRUE(ra.match_reused != rb.match_reused)
-        << "exactly one should adopt the published match state";
+        << "exactly one of two concurrent identical flushes should adopt";
     EXPECT_EQ((ra.match_reused ? ra : rb).pairs_evaluated, 0u);
-    reused_flushes += (ra.index_reused ? 1 : 0) + (rb.index_reused ? 1 : 0);
+    reused_flushes += (ra.match_reused ? 1 : 0) + (rb.match_reused ? 1 : 0);
     ExpectSameState(a, lone);
     ExpectSameState(b, lone);
     EXPECT_EQ(a.indexes(), b.indexes());
@@ -448,8 +447,8 @@ TEST_F(ApiCatalogTest, PlanFingerprintSeparatesCatalogEntries) {
   EXPECT_EQ(PlanFingerprint(**plan), PlanFingerprint(**plan));
   EXPECT_NE(PlanFingerprint(**plan), PlanFingerprint(**other_plan));
 
-  // Different plans on one catalog must not share snapshots even under
-  // the same corpus id.
+  // Different plans on one catalog must not share states even under the
+  // same corpus id.
   auto catalog = std::make_shared<candidate::IndexCatalog>();
   SessionOptions shared;
   shared.catalog = catalog;
@@ -460,8 +459,8 @@ TEST_F(ApiCatalogTest, PlanFingerprintSeparatesCatalogEntries) {
   auto ra = a.Flush();
   auto rb = b.Flush();
   ASSERT_TRUE(ra.ok() && rb.ok());
-  EXPECT_FALSE(ra->index_reused);
-  EXPECT_FALSE(rb->index_reused);
+  EXPECT_FALSE(ra->match_reused);
+  EXPECT_FALSE(rb->match_reused);
   EXPECT_EQ(catalog->num_entries(), 2u);
 }
 

@@ -1,8 +1,8 @@
-// Tests for the incremental / sharded session API (api/session): a
-// MatchSession fed any sequence of Upsert / Remove / Flush deltas must
-// produce exactly the match pairs and clusters of a one-shot
-// Executor::Run over the equivalent single batch (session.Corpus()), for
-// every thread and shard count — including the windowing subtleties
+// Tests for the incremental session API (api/session): a MatchSession fed
+// any sequence of Upsert / Remove / Flush deltas must produce exactly the
+// match pairs and clusters of a one-shot Executor::Run over the equivalent
+// single batch (session.Corpus()), for every thread count — including the
+// windowing subtleties
 // (removals pulling old pairs into a window, insertions pushing standing
 // matches out of every window).
 
@@ -171,9 +171,9 @@ TEST_F(ApiSessionTest, ClosurePlanReportsImpliedPairs) {
   RunIncrementalScenario(*plan, 1);
 }
 
-// Sharded execution of one oversized batch: the whole dataset in a single
-// flush, split internally by derived key ranges over 4 workers, must
-// reproduce the one-shot (and the unsharded session) exactly.
+// One oversized batch at 4 threads: the whole dataset in a single flush,
+// its evaluation chunked over 4 workers, must reproduce the one-shot (and
+// the single-threaded session) exactly — for windowing and blocking.
 TEST_F(ApiSessionTest, ShardedBulkLoadMatchesOneShot) {
   for (bool blocking : {false, true}) {
     PlanOptions plan_options;
@@ -183,32 +183,31 @@ TEST_F(ApiSessionTest, ShardedBulkLoadMatchesOneShot) {
     auto plan = BuildPlan(plan_options);
     ASSERT_TRUE(plan.ok()) << plan.status();
 
-    SessionOptions sharded;
-    sharded.num_threads = 4;
-    sharded.shard_min_delta = 1;  // force the sharded path
-    MatchSession session(*plan, sharded);
+    SessionOptions threaded;
+    threaded.num_threads = 4;
+    threaded.min_pairs_per_thread = 1;  // every worker gets pairs
+    MatchSession session(*plan, threaded);
     UpsertRange(&session, 0, data_.instance.left().size());
     auto report = session.Flush();
     ASSERT_TRUE(report.ok()) << report.status();
-    EXPECT_GT(report->shards_used, 1u) << "sharded path not taken";
+    EXPECT_GT(report->pairs_evaluated, 4u);
     ExpectSessionEqualsOneShot(*plan, session);
 
-    MatchSession unsharded(*plan);  // delta path, 1 thread
-    UpsertRange(&unsharded, 0, data_.instance.left().size());
-    ASSERT_TRUE(unsharded.Flush().ok());
-    EXPECT_EQ(SortedPairs(session.Matches()),
-              SortedPairs(unsharded.Matches()));
+    MatchSession single(*plan);  // 1 thread
+    UpsertRange(&single, 0, data_.instance.left().size());
+    ASSERT_TRUE(single.Flush().ok());
+    EXPECT_EQ(SortedPairs(session.Matches()), SortedPairs(single.Matches()));
   }
 }
 
-// A sharded flush against an already-indexed standing corpus (not just a
-// cold bulk load) must also be exact.
+// A 4-thread flush against an already-indexed standing corpus (not just a
+// cold bulk load), with removals in the same delta, must also be exact.
 TEST_F(ApiSessionTest, ShardedIncrementalDeltaMatchesOneShot) {
   auto plan = BuildPlan();
   ASSERT_TRUE(plan.ok()) << plan.status();
   SessionOptions options;
   options.num_threads = 4;
-  options.shard_min_delta = 1;
+  options.min_pairs_per_thread = 1;
   MatchSession session(*plan, options);
   const size_t half = data_.instance.left().size() / 2;
   UpsertRange(&session, 0, half);
@@ -219,7 +218,7 @@ TEST_F(ApiSessionTest, ShardedIncrementalDeltaMatchesOneShot) {
   UpsertRange(&session, half, data_.instance.left().size());
   auto report = session.Flush();
   ASSERT_TRUE(report.ok());
-  EXPECT_GT(report->shards_used, 1u);
+  EXPECT_GT(report->removed, 0u);
   ExpectSessionEqualsOneShot(*plan, session);
 }
 

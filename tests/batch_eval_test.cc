@@ -1,9 +1,9 @@
 // Batch-vs-scalar equivalence for the SoA pair-evaluation path
 // (match/compiled_eval MatchesBatch + candidate/windowing BuildStrips):
 // decisions must be bit-identical to the scalar Matches reference across
-// matcher modes, candidate configurations, ragged strip widths, skip
-// lanes, and random pair samples — plus the executor / session wiring
-// (batch stats, cache interplay) on equality-only plans.
+// matcher modes, candidate configurations, ragged strip widths and random
+// pair samples — plus the executor / session wiring (batch stats) on
+// equality-only plans.
 
 #include <algorithm>
 #include <cstdint>
@@ -122,7 +122,7 @@ class BatchEvalTest : public testing::Test {
         candidate::BuildStrips(pairs, &arena);
     std::vector<uint8_t> lane_dec(strips.lanes, 0xEE);
     for (size_t b = 0; b < strips.num_batches; ++b) {
-      eval.MatchesBatch(h.cols[0], h.cols[1], strips.batches[b], nullptr,
+      eval.MatchesBatch(h.cols[0], h.cols[1], strips.batches[b],
                         lane_dec.data() + strips.batch_first_lane[b], stats);
     }
     std::vector<uint8_t> out(pairs.size());
@@ -217,8 +217,7 @@ TEST_F(BatchEvalTest, RaggedStripWidthsBitIdenticalToScalar) {
     strip.size = n;
     std::vector<uint8_t> dec(n + 1, 0xEE);
     BatchStats stats;
-    eval.MatchesBatch(h.cols[0], h.cols[1], strip, nullptr, dec.data(),
-                      &stats);
+    eval.MatchesBatch(h.cols[0], h.cols[1], strip, dec.data(), &stats);
     EXPECT_EQ(stats.lanes, n);
     for (uint32_t i = 0; i < n; ++i) {
       ASSERT_EQ(dec[i] != 0, Scalar(eval, h, 5, rights[i]))
@@ -232,45 +231,10 @@ TEST_F(BatchEvalTest, RaggedStripWidthsBitIdenticalToScalar) {
     mixed.right_rows = rights.data();
     mixed.size = n;
     std::fill(dec.begin(), dec.end(), 0xEE);
-    eval.MatchesBatch(h.cols[0], h.cols[1], mixed, nullptr, dec.data(),
-                      nullptr);
+    eval.MatchesBatch(h.cols[0], h.cols[1], mixed, dec.data(), nullptr);
     for (uint32_t i = 0; i < n; ++i) {
       ASSERT_EQ(dec[i] != 0, Scalar(eval, h, lefts[i], rights[i]))
           << "mixed n=" << n << " lane " << i;
-    }
-  }
-}
-
-// Skip lanes (the cache-decided positions): untouched in the output and
-// excluded from the evaluated-lane count.
-TEST_F(BatchEvalTest, SkipLanesAreLeftUntouched) {
-  auto plan = BuildPlan(api::PlanOptions{});
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  const CompiledEvaluator& eval = (*plan)->evaluator();
-  BatchHarness h;
-  h.Build(eval, data_.instance);
-  const uint32_t rsize =
-      static_cast<uint32_t>(data_.instance.right().size());
-
-  const uint32_t n = 65;
-  std::vector<uint32_t> rights(n);
-  for (uint32_t i = 0; i < n; ++i) rights[i] = (i * 11 + 2) % rsize;
-  PairBatch strip;
-  strip.left_row = 9;
-  strip.right_rows = rights.data();
-  strip.size = n;
-  std::vector<uint8_t> skip(n);
-  for (uint32_t i = 0; i < n; ++i) skip[i] = i % 2 == 0 ? 1 : 0;
-  std::vector<uint8_t> dec(n, 0xEE);
-  BatchStats stats;
-  eval.MatchesBatch(h.cols[0], h.cols[1], strip, skip.data(), dec.data(),
-                    &stats);
-  EXPECT_EQ(stats.lanes, n / 2);  // only the odd (unskipped) lanes
-  for (uint32_t i = 0; i < n; ++i) {
-    if (skip[i] != 0) {
-      ASSERT_EQ(dec[i], 0xEE) << "skipped lane " << i << " was written";
-    } else {
-      ASSERT_EQ(dec[i] != 0, Scalar(eval, h, 9, rights[i])) << "lane " << i;
     }
   }
 }

@@ -2,8 +2,8 @@
 // order-statistic persistent SortedKeyIndex against a flat-vector
 // reference model, snapshot semantics (copies frozen while the original
 // advances), the radix permutation sort against stable_sort, the
-// single-sort windowing front-end, and IndexSnapshot / IndexCatalog
-// version sharing.
+// single-sort windowing front-end, IndexSnapshot copy-on-write advances
+// and IndexCatalog entry sharing.
 
 #include <algorithm>
 #include <cstdint>
@@ -255,7 +255,6 @@ TEST(WindowingFrontEndTest, MatchesLegacySemanticsOnGeneratedData) {
 
 TEST(IndexSnapshotTest, AdvanceLeavesSharedBaseUntouched) {
   IndexSnapshotPtr base = IndexSnapshot::Empty(2, /*blocking=*/false);
-  EXPECT_EQ(base->version(), 0u);
 
   std::vector<std::vector<IndexedEntry>> inserts(2);
   for (uint32_t i = 0; i < 20; ++i) {
@@ -266,18 +265,17 @@ TEST(IndexSnapshotTest, AdvanceLeavesSharedBaseUntouched) {
   IndexSnapshotPtr held = base;
   IndexSnapshotPtr next = IndexSnapshot::Advance(
       base, std::vector<std::vector<IndexedEntry>>(2), std::move(inserts),
-      {}, {}, /*version=*/1);
+      {}, {});
   EXPECT_EQ(held->window_passes()[0].size(), 0u);
   EXPECT_EQ(next->window_passes()[0].size(), 20u);
   EXPECT_EQ(next->window_passes()[1].size(), 20u);
-  EXPECT_EQ(next->version(), 1u);
 }
 
 TEST(IndexSnapshotTest, BlockIndexClonedOnlyWhenShared) {
   IndexSnapshotPtr snapshot = IndexSnapshot::Empty(0, /*blocking=*/true);
   std::vector<IndexedEntry> inserts = {{"blk", 0, 1}, {"blk", 1, 2}};
-  snapshot = IndexSnapshot::Advance(std::move(snapshot), {}, {}, {},
-                                    inserts, 1);
+  snapshot =
+      IndexSnapshot::Advance(std::move(snapshot), {}, {}, {}, inserts);
   const BlockIndex* before = snapshot->block();
   ASSERT_NE(before, nullptr);
   ASSERT_NE(before->Find("blk"), nullptr);
@@ -286,7 +284,7 @@ TEST(IndexSnapshotTest, BlockIndexClonedOnlyWhenShared) {
   IndexSnapshotPtr held = snapshot;
   std::vector<IndexedEntry> removes = {{"blk", 0, 1}};
   IndexSnapshotPtr next =
-      IndexSnapshot::Advance(snapshot, {}, {}, removes, {}, 2);
+      IndexSnapshot::Advance(snapshot, {}, {}, removes, {});
   ASSERT_NE(held->block()->Find("blk"), nullptr);
   EXPECT_EQ(held->block()->Find("blk")->left.size(), 1u);
   EXPECT_EQ(next->block()->Find("blk")->left.size(), 0u);
@@ -295,7 +293,7 @@ TEST(IndexSnapshotTest, BlockIndexClonedOnlyWhenShared) {
   held.reset();
   const BlockIndex* recycled_block = next->block();
   std::vector<IndexedEntry> more = {{"blk2", 0, 3}};
-  next = IndexSnapshot::Advance(std::move(next), {}, {}, {}, more, 3);
+  next = IndexSnapshot::Advance(std::move(next), {}, {}, {}, more);
   EXPECT_EQ(next->block(), recycled_block);
   EXPECT_NE(next->block()->Find("blk2"), nullptr);
 }
@@ -413,8 +411,8 @@ TEST(BlockIndexTest, FrozenSnapshotsExposeNoMutablePath) {
   IndexSnapshotPtr snapshot = IndexSnapshot::Empty(0, /*blocking=*/true);
   std::vector<IndexedEntry> inserts = {{"a", 0, 1}, {"a", 1, 2},
                                        {"b", 0, 3}};
-  snapshot = IndexSnapshot::Advance(std::move(snapshot), {}, {}, {},
-                                    inserts, 1);
+  snapshot =
+      IndexSnapshot::Advance(std::move(snapshot), {}, {}, {}, inserts);
   IndexSnapshotPtr frozen = snapshot;
 
   // Hammer the same blocks through several descendant versions.
@@ -424,8 +422,8 @@ TEST(BlockIndexTest, FrozenSnapshotsExposeNoMutablePath) {
     std::vector<IndexedEntry> removes =
         v == 4 ? std::vector<IndexedEntry>{{"a", 1, 2}}
                : std::vector<IndexedEntry>{};
-    snapshot = IndexSnapshot::Advance(std::move(snapshot), {}, {}, removes,
-                                      more, v);
+    snapshot =
+        IndexSnapshot::Advance(std::move(snapshot), {}, {}, removes, more);
   }
 
   const BlockIndex::Block* a = frozen->block()->Find("a");
@@ -443,7 +441,7 @@ TEST(BlockIndexTest, FrozenSnapshotsExposeNoMutablePath) {
 
 // --------------------------------------------------------- IndexCatalog
 
-TEST(IndexCatalogTest, MemoizesTransitionsPerEntry) {
+TEST(IndexCatalogTest, AcquireSharesOneEntryPerPlanAndCorpus) {
   IndexCatalog catalog;
   auto entry = catalog.Acquire(1234, "corpus-a");
   ASSERT_EQ(catalog.num_entries(), 1u);
@@ -451,37 +449,6 @@ TEST(IndexCatalogTest, MemoizesTransitionsPerEntry) {
   EXPECT_NE(catalog.Acquire(1234, "corpus-b"), entry);
   EXPECT_NE(catalog.Acquire(99, "corpus-a"), entry);
   EXPECT_EQ(catalog.num_entries(), 3u);
-
-  size_t builds = 0;
-  auto build = [&](uint64_t version) {
-    ++builds;
-    IndexSnapshotPtr base = IndexSnapshot::Empty(1, false);
-    std::vector<std::vector<IndexedEntry>> inserts(1);
-    inserts[0].push_back({"x", 0, 7});
-    return IndexSnapshot::Advance(
-        std::move(base), std::vector<std::vector<IndexedEntry>>(1),
-        std::move(inserts), {}, {}, version);
-  };
-
-  bool reused = true;
-  IndexSnapshotPtr first = entry->Advance(0, 42, &reused, build);
-  EXPECT_FALSE(reused);
-  EXPECT_EQ(builds, 1u);
-  EXPECT_EQ(first->version(), 1u);
-
-  // Same (base, delta): adopted, not rebuilt.
-  IndexSnapshotPtr second = entry->Advance(0, 42, &reused, build);
-  EXPECT_TRUE(reused);
-  EXPECT_EQ(builds, 1u);
-  EXPECT_EQ(second, first);
-
-  // A different delta from the same base branches off.
-  IndexSnapshotPtr branch = entry->Advance(0, 43, &reused, build);
-  EXPECT_FALSE(reused);
-  EXPECT_EQ(builds, 2u);
-  EXPECT_NE(branch, first);
-  EXPECT_EQ(branch->version(), 2u);
-  EXPECT_EQ(entry->memo_size(), 2u);
 }
 
 }  // namespace

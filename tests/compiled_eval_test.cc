@@ -1,7 +1,6 @@
-// Tests for the compiled pair-evaluation engine (match/compiled_eval) and
-// the pair-decision cache (match/pair_cache): exact decision equivalence
-// with the naive rule / Fellegi-Sunter paths, atom deduplication and
-// short-circuiting, per-record profiles, and cache semantics.
+// Tests for the compiled pair-evaluation engine (match/compiled_eval):
+// exact decision equivalence with the naive rule / Fellegi-Sunter paths,
+// atom deduplication and short-circuiting, and per-record profiles.
 
 #include "match/compiled_eval.h"
 
@@ -15,7 +14,6 @@
 #include "api/executor.h"
 #include "api/plan.h"
 #include "datagen/credit_billing.h"
-#include "match/pair_cache.h"
 #include "util/random.h"
 
 namespace mdmatch::match {
@@ -301,70 +299,6 @@ TEST_F(CompiledEquivalenceTest, CompiledAgreesWithNaiveOnRandomPairs) {
                 Naive(p, left.tuple(li), right.tuple(ri)));
     }
   }
-}
-
-// ------------------------------------------------ pair-decision cache
-
-TEST(PairDecisionCacheTest, LookupInsertEvict) {
-  PairDecisionCache cache(/*capacity=*/4, /*shards=*/1);
-  using Key = PairDecisionCache::Key;
-  EXPECT_FALSE(cache.Lookup(Key{1, 2, 10, 20}).has_value());
-  cache.Insert(Key{1, 2, 10, 20}, true);
-  cache.Insert(Key{3, 4, 30, 40}, false);
-  auto hit = cache.Lookup(Key{1, 2, 10, 20});
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_TRUE(*hit);
-  hit = cache.Lookup(Key{3, 4, 30, 40});
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_FALSE(*hit);
-  // Same ids, different fingerprint: a changed record misses.
-  EXPECT_FALSE(cache.Lookup(Key{1, 2, 10, 21}).has_value());
-  // Fill beyond capacity; the LRU victim (3,4) was touched least recently
-  // after the (1,2) lookup refreshed it... insert 4 more to evict.
-  for (TupleId i = 10; i < 14; ++i) cache.Insert(Key{i, i, 1, 1}, true);
-  EXPECT_EQ(cache.size(), 4u);
-  PairDecisionCache::Stats stats = cache.stats();
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.misses, 0u);
-  EXPECT_GT(stats.evictions, 0u);
-}
-
-TEST(PairDecisionCacheTest, FingerprintChangesWithValuesAndBoundaries) {
-  Tuple a(1, {"ab", "c"});
-  Tuple b(1, {"a", "bc"});
-  Tuple c(1, {"ab", "c"});
-  EXPECT_NE(TupleFingerprint(a), TupleFingerprint(b));
-  EXPECT_EQ(TupleFingerprint(a), TupleFingerprint(c));
-}
-
-// Executor-level: a second Run over the same batch hits the cache for
-// every candidate pair and reproduces the decisions exactly.
-TEST_F(CompiledEquivalenceTest, ExecutorPairCachePreservesResults) {
-  api::PlanOptions options;
-  auto plan = BuildPlan(options);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-
-  api::ExecutorOptions no_cache;
-  auto baseline = api::Executor(*plan, no_cache).Run(data_.instance);
-  ASSERT_TRUE(baseline.ok());
-
-  api::ExecutorOptions cached;
-  cached.pair_cache_capacity = 1 << 20;
-  api::Executor executor(*plan, cached);
-  auto first = executor.Run(data_.instance);
-  auto second = executor.Run(data_.instance);
-  ASSERT_TRUE(first.ok() && second.ok());
-
-  auto sorted = [](const match::MatchResult& m) {
-    auto pairs = m.pairs();
-    std::sort(pairs.begin(), pairs.end());
-    return pairs;
-  };
-  EXPECT_EQ(sorted(baseline->matches), sorted(first->matches));
-  EXPECT_EQ(sorted(baseline->matches), sorted(second->matches));
-  EXPECT_EQ(first->cache_hits, 0u);
-  EXPECT_EQ(second->cache_hits, second->pairs_compared);
-  EXPECT_GT(second->pairs_compared, 0u);
 }
 
 }  // namespace

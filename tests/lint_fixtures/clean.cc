@@ -25,17 +25,17 @@ class Counter {
 };
 
 // Frozen type done right: const accessors only, built by a factory.
-class FrozenUnionFind {
+class FrozenPairSet {
  public:
-  static std::shared_ptr<const FrozenUnionFind> Make() {
+  static std::shared_ptr<const FrozenPairSet> Make() {
     // mdmatch-lint: allow(naked-new) private-ctor factory, exercising
     // the allowlist: make_shared cannot reach the constructor.
-    return std::shared_ptr<const FrozenUnionFind>(new FrozenUnionFind());
+    return std::shared_ptr<const FrozenPairSet>(new FrozenPairSet());
   }
   uint64_t size() const { return size_; }
 
  private:
-  FrozenUnionFind() = default;
+  FrozenPairSet() = default;
   uint64_t size_ = 0;
 };
 

@@ -207,7 +207,6 @@ TEST(LintTree, CoreConcurrentFilesAreClean) {
        {std::string("src/api/session.h"), std::string("src/api/session.cc"),
         std::string("src/stream/ingest_driver.h"),
         std::string("src/stream/ingest_driver.cc"),
-        std::string("src/match/pair_cache.cc"),
         std::string("src/candidate/catalog.cc"),
         std::string("src/util/thread_annotations.h")}) {
     const auto findings = LintFile(file, ReadFile(file));

@@ -99,10 +99,10 @@ struct FrozenType {
 };
 constexpr FrozenType kFrozenTypes[] = {
     {"SessionGeneration", ""},  {"IndexSnapshot", ""},
-    {"FrozenUnionFind", ""},    {"Node", "sorted_index"},
-    {"Node", "block_index"},    {"Block", "block_index"},
-    {"SharedMatchState", ""},   {"FrozenPairSet", ""},
-    {"FrozenTrie", ""},         {"Node", "persistent_trie"},
+    {"Node", "sorted_index"},   {"Node", "block_index"},
+    {"Block", "block_index"},   {"SharedMatchState", ""},
+    {"FrozenPairSet", ""},      {"FrozenTrie", ""},
+    {"Node", "persistent_trie"},
 };
 
 struct Ctx {

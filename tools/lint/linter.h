@@ -7,7 +7,7 @@
 // thread-safety build only partially can):
 //
 //   frozen-mutation  Frozen/snapshot types (SessionGeneration,
-//                    IndexSnapshot, FrozenUnionFind, the COW treap
+//                    IndexSnapshot, FrozenPairSet, the COW treap
 //                    Node/Block types) declare no mutable fields and no
 //                    non-const member functions — immutability after
 //                    publication is a compile-shape property, not a

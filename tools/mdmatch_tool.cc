@@ -96,19 +96,14 @@ void PrintUsage(FILE* out) {
       "                                   compiling one on the fly\n"
       "  --load                           preload <dir>/{credit,billing}.csv\n"
       "                                   as the initial standing corpus\n"
-      "  --threads N                      session worker threads (default 1)\n"
-      "  --cache N                        pair-decision cache entries\n"
-      "                                   (default 0 = off)\n"
-      "  --doorkeeper                     doorkeeper admission for the pair\n"
-      "                                   cache: decisions enter the LRU on\n"
-      "                                   their second miss, so id-recycling\n"
-      "                                   churn stops evicting the hot set\n"
-      "                                   (compare eviction rates in --stats)\n"
+      "  --threads N                      session worker threads for pair\n"
+      "                                   evaluation (default 1)\n"
       "  --stats                          print per-flush phase timings\n"
       "                                   (index merge, candidate scan,\n"
-      "                                   pair eval, drift re-rank), cache\n"
-      "                                   hit/eviction rates, staging queue\n"
-      "                                   depth and coalesced deltas\n"
+      "                                   pair eval, drift re-rank,\n"
+      "                                   publish), staging queue depth,\n"
+      "                                   coalesced deltas and batch-eval\n"
+      "                                   counters\n"
       "  --async                          ingest through a background\n"
       "                                   stream::IngestDriver: ops stage\n"
       "                                   into a bounded queue, a flusher\n"
@@ -229,8 +224,7 @@ class Args {
   }
   static bool IsBooleanFlag(const std::string& s) {
     return s == "--closure" || s == "--load" || s == "--stats" ||
-           s == "--doorkeeper" || s == "--async" || s == "--follow" ||
-           s == "--help";
+           s == "--async" || s == "--follow" || s == "--help";
   }
   std::vector<std::string> args_;
 };
@@ -485,8 +479,6 @@ int CmdStream(const Args& args) {
 
   api::SessionOptions session_options;
   session_options.num_threads = args.FlagNum("--threads", 1);
-  session_options.pair_cache_capacity = args.FlagNum("--cache", 0);
-  session_options.cache_doorkeeper = args.HasFlag("--doorkeeper");
 
   // Two ingest shapes over the same query surface: synchronous (a
   // MatchSession flushed inline, `flush` lines run Flush) or --async (a
@@ -597,21 +589,18 @@ int CmdStream(const Args& args) {
   const bool stats = args.HasFlag("--stats");
   auto print_flush = [stats](const api::IngestReport& report) {
     std::printf("flush: +%zu -%zu matches (%zu upserts, %zu removes, %zu "
-                "pairs, %zu shard%s, %.3fs) -> %zu standing over %zu + %zu "
-                "(gen %llu)\n",
+                "pairs, %.3fs) -> %zu standing over %zu + %zu (gen %llu)\n",
                 report.matches_added, report.matches_dropped, report.upserted,
-                report.removed, report.pairs_evaluated, report.shards_used,
-                report.shards_used == 1 ? "" : "s",
+                report.removed, report.pairs_evaluated,
                 report.index_seconds + report.match_seconds +
                     report.cluster_seconds,
                 report.total_matches, report.corpus_left,
                 report.corpus_right,
                 static_cast<unsigned long long>(report.generation));
     if (!stats) return;
-    std::printf("  phases: merge %.4fs%s, scan %.4fs, eval %.4fs, rerank "
+    std::printf("  phases: merge %.4fs, scan %.4fs, eval %.4fs, rerank "
                 "%.4fs (index %.4fs, match %.4fs, cluster %.4fs)\n",
-                report.merge_seconds, report.index_reused ? " (reused)" : "",
-                report.scan_seconds, report.eval_seconds,
+                report.merge_seconds, report.scan_seconds, report.eval_seconds,
                 report.rerank_seconds, report.index_seconds,
                 report.match_seconds, report.cluster_seconds);
     std::printf("  publish: %.4fs%s, %zu bytes copied\n",
@@ -623,16 +612,6 @@ int CmdStream(const Args& args) {
     std::printf("  batch: %zu strips, %zu simd lanes, %zu arena bytes\n",
                 report.strips, report.simd_lanes_evaluated,
                 report.arena_bytes);
-    if (report.cache_lookups > 0) {
-      std::printf("  cache: %zu lookups, %zu hits (%.1f%%), %zu evictions "
-                  "(%.1f%%)\n",
-                  report.cache_lookups, report.cache_hits,
-                  100.0 * static_cast<double>(report.cache_hits) /
-                      static_cast<double>(report.cache_lookups),
-                  report.cache_evictions,
-                  100.0 * static_cast<double>(report.cache_evictions) /
-                      static_cast<double>(report.cache_lookups));
-    }
   };
 
   auto do_upsert = [&](int side, Tuple tuple) {
@@ -804,8 +783,6 @@ int main(int argc, char** argv) {
     allowed.push_back("--plan");
     allowed.push_back("--threads");
     allowed.push_back("--load");
-    allowed.push_back("--cache");
-    allowed.push_back("--doorkeeper");
     allowed.push_back("--stats");
     allowed.push_back("--readers");
     allowed.push_back("--async");
