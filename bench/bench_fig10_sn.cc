@@ -13,12 +13,14 @@
 
 #include "api/executor.h"
 #include "bench_common.h"
+#include "candidate/sorted_neighborhood.h"
 #include "match/evaluation.h"
 #include "match/hs_rules.h"
-#include "match/sorted_neighborhood.h"
 
 using namespace mdmatch;
 using namespace mdmatch::match;
+using candidate::SnResult;
+using candidate::SortedNeighborhood;
 
 int main() {
   std::printf("== Figure 10(a,b,c): Sorted Neighborhood with vs without "

@@ -7,13 +7,14 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "candidate/sorted_neighborhood.h"
 #include "match/evaluation.h"
 #include "match/hs_rules.h"
-#include "match/sorted_neighborhood.h"
 #include "match/windowing.h"
 
 using namespace mdmatch;
 using namespace mdmatch::match;
+using candidate::SortKeysFromRules;
 
 int main() {
   std::printf("== Exp-4 windowing: PC / RR with RCK vs manual sort keys ==\n");

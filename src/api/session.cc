@@ -80,6 +80,54 @@ bool Has(const std::vector<uint64_t>& sorted, uint64_t value) {
   return std::binary_search(sorted.begin(), sorted.end(), value);
 }
 
+/// Standing-pair probe over the session's slot table and pair set. Both
+/// records of a standing pair share a cluster handle, so the handle
+/// compare rejects almost every other pair before the trie is touched.
+template <typename Slots>
+bool Standing(const Slots& slots, const match::PersistentPairSet& pairs,
+              uint32_t l, uint32_t r) {
+  return slots[0][l].handle == slots[1][r].handle && pairs.Contains(l, r);
+}
+
+/// Calls fn(left seq, right seq) when `a` and `b` lie on opposite sides.
+template <typename Fn>
+void IfCrossSide(const IndexedEntry& a, const IndexedEntry& b, Fn& fn) {
+  if (a.side != b.side) {
+    fn(a.side == 0 ? a.seq : b.seq, a.side == 0 ? b.seq : a.seq);
+  }
+}
+
+/// Visits, once each, every cross-side pair of ranks a < b of `idx` with
+/// b - a < window straddling one of the sorted `points` (a < g <= b; point
+/// g sits just before rank g): the only pairs whose distance an entry
+/// entering or leaving there changes. Touching neighbourhoods share a span.
+template <typename Fn>
+void ForEachStraddlingPair(const SortedKeyIndex& idx,
+                           const std::vector<size_t>& points, size_t window,
+                           std::vector<const IndexedEntry*>* span, Fn&& fn) {
+  const size_t reach = window - 1;
+  for (size_t k = 0; k < points.size();) {
+    size_t end = k + 1;
+    while (end < points.size() && points[end] <= points[end - 1] + 2 * reach) {
+      ++end;
+    }
+    const size_t lo = points[k] >= reach ? points[k] - reach : 0;
+    const size_t hi = std::min(idx.size(), points[end - 1] + reach);
+    idx.SpanInto(lo, hi, span);
+    // `a` is the next left rank not yet paired: each a pairs only across
+    // the first point above it, so no pair is visited twice.
+    size_t a = lo;
+    for (; k < end; ++k) {
+      const size_t g = points[k];
+      for (a = std::max(a, g >= reach ? g - reach : 0); a < g; ++a) {
+        for (size_t b = g; b < std::min(hi, a + window); ++b) {
+          IfCrossSide(*(*span)[a - lo], *(*span)[b - lo], fn);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ SessionView
@@ -145,8 +193,11 @@ struct MatchSession::FlushDelta {
   std::vector<std::vector<IndexedEntry>> pass_inserts;
   std::vector<IndexedEntry> block_removes;
   std::vector<IndexedEntry> block_inserts;
-  /// Removal-gap positions per windowing pass, sorted, in the post-merge
-  /// order.
+  /// The snapshot before this flush: the old order the drift check walks.
+  IndexSnapshotPtr before;
+  /// Per windowing pass, sorted, in the post-merge order: the ranks of
+  /// the inserted entries, and the removal gaps.
+  std::vector<std::vector<size_t>> ranks;
   std::vector<std::vector<size_t>> gaps;
   match::CandidateSet candidates;
   SeqPairs new_matches;
@@ -333,9 +384,6 @@ void MatchSession::ResolveDeltaLocked(FlushDelta* delta,
 
   report->coalesced_deltas = pending_coalesced_;
   pending_coalesced_ = 0;
-  // Packed (side, seq) of the removed and updated records: their standing
-  // matches retire below.
-  std::vector<uint64_t> retired;
   for (auto& [key, op] : pending_) {
     const auto [side, id] = key;
     const IdEntry* entry = ids_[side].Get(id);
@@ -344,14 +392,21 @@ void MatchSession::ResolveDeltaLocked(FlushDelta* delta,
     uint32_t seq = 0;
     if (entry != nullptr) {
       // A removal or an update: the old record leaves the indexes and
-      // its standing matches retire — edges its cluster loses, unless it
-      // was a singleton. The old record object stays untouched —
-      // published generations may still reference it.
+      // its standing matches retire. Its partners are the opposite-side
+      // members of its cluster (a singleton has none), and each retired
+      // pair is an edge the cluster loses. The old record object stays
+      // untouched — published generations may still reference it.
       seq = entry->seq;
       index(*slots[seq].record, side, /*insert=*/false);
-      retired.push_back(Handle(side, seq));
-      if (cluster_members_.count(slots[seq].handle) != 0) {
-        delta->lost.push_back(slots[seq].handle);
+      if (auto found = cluster_members_.find(slots[seq].handle);
+          found != cluster_members_.end()) {
+        delta->lost.push_back(found->first);
+        for (const uint64_t packed : found->second) {
+          if (static_cast<int>(packed >> 32) == side) continue;
+          const uint32_t other = static_cast<uint32_t>(packed);
+          report->matches_dropped +=
+              side == 0 ? pairs_.Erase(seq, other) : pairs_.Erase(other, seq);
+        }
       }
     }
     if (!op.has_value()) {
@@ -377,33 +432,29 @@ void MatchSession::ResolveDeltaLocked(FlushDelta* delta,
     slots[seq].record = std::move(record);
   }
   pending_.clear();
-
-  if (!retired.empty()) {
-    SortUnique(&retired);
-    auto& pairs = pairs_;
-    report->matches_dropped +=
-        raw_matches_.RemoveMatching([&](uint32_t l, uint32_t r) {
-          const bool drop =
-              Has(retired, Handle(0, l)) || Has(retired, Handle(1, r));
-          if (drop) pairs.Erase(l, r);
-          return drop;
-        });
-  }
 }
 
 void MatchSession::AdvanceIndexesLocked(FlushDelta* delta,
                                         IngestReport* report) {
   ScopedTimer timer(&report->merge_seconds);
+  delta->before = indexes_;
   indexes_ = IndexSnapshot::Advance(
       std::move(indexes_), delta->pass_removes,
       std::move(delta->pass_inserts), delta->block_removes,
       delta->block_inserts);
   const auto& passes = indexes_->window_passes();
+  delta->ranks.assign(passes.size(), {});
   delta->gaps.assign(passes.size(), {});
   for (size_t p = 0; p < passes.size(); ++p) {
+    for (const auto& [side, seq] : delta->inserted) {
+      delta->ranks[p].push_back(passes[p].LowerBound(
+          {slots_[side][seq].record->keys[p], static_cast<uint8_t>(side),
+           seq}));
+    }
     for (const IndexedEntry& e : delta->pass_removes[p]) {
       delta->gaps[p].push_back(passes[p].LowerBound(e));
     }
+    std::sort(delta->ranks[p].begin(), delta->ranks[p].end());
     std::sort(delta->gaps[p].begin(), delta->gaps[p].end());
   }
 }
@@ -411,9 +462,10 @@ void MatchSession::AdvanceIndexesLocked(FlushDelta* delta,
 void MatchSession::ScanLocked(FlushDelta* delta, IngestReport* report) {
   ScopedTimer timer(&report->scan_seconds);
   match::CandidateSet& cand = delta->candidates;
-  const auto& raw_matches = raw_matches_;
-  auto add = [&cand, &raw_matches](uint32_t l, uint32_t r) {
-    if (!raw_matches.Contains(l, r)) cand.Add(l, r);
+  const auto& slots = slots_;
+  const auto& pairs = pairs_;
+  auto add = [&cand, &slots, &pairs](uint32_t l, uint32_t r) {
+    if (!Standing(slots, pairs, l, r)) cand.Add(l, r);
   };
 
   if (const candidate::BlockIndex* blocks = indexes_->block()) {
@@ -435,44 +487,24 @@ void MatchSession::ScanLocked(FlushDelta* delta, IngestReport* report) {
   }
 
   // Windowing: scan the final order around every inserted entry (pairs
-  // gaining a delta endpoint) and around every removal gap (old pairs
-  // whose distance shrank below the window).
+  // gaining a delta endpoint) and across every removal gap (old pairs
+  // whose distance shrank below the window: only a pair straddling a gap
+  // moved closer; every other pair was decided by an earlier flush).
   const size_t window = plan_->options().window_size;
   if (window < 2) return;
   std::vector<const IndexedEntry*> span;  // reused window buffer
-  auto add_entries = [&add](const IndexedEntry& a, const IndexedEntry& b) {
-    if (a.side == b.side) return;
-    if (a.side == 0) {
-      add(a.seq, b.seq);
-    } else {
-      add(b.seq, a.seq);
-    }
-  };
   const auto& passes = indexes_->window_passes();
   for (size_t p = 0; p < passes.size(); ++p) {
     const SortedKeyIndex& idx = passes[p];
-    const size_t n = idx.size();
-    for (const auto& [side, seq] : delta->inserted) {
-      const size_t center = idx.LowerBound(
-          {slots_[side][seq].record->keys[p], static_cast<uint8_t>(side),
-           seq});
+    for (const size_t center : delta->ranks[p]) {
       const size_t lo = center >= window - 1 ? center - (window - 1) : 0;
-      idx.SpanInto(lo, std::min(n, center + window), &span);
+      idx.SpanInto(lo, std::min(idx.size(), center + window), &span);
       const size_t center_off = center - lo;
       for (size_t j = 0; j < span.size(); ++j) {
-        if (j == center_off) continue;
-        add_entries(*span[std::min(j, center_off)],
-                    *span[std::max(j, center_off)]);
+        if (j != center_off) IfCrossSide(*span[center_off], *span[j], add);
       }
     }
-    for (size_t gap : delta->gaps[p]) {
-      const size_t lo = gap >= window - 1 ? gap - (window - 1) : 0;
-      idx.SpanInto(lo, std::min(n, gap + window - 1), &span);
-      for (size_t i = 0; i < span.size(); ++i) {
-        const size_t jhi = std::min(span.size(), i + window);
-        for (size_t j = i + 1; j < jhi; ++j) add_entries(*span[i], *span[j]);
-      }
-    }
+    ForEachStraddlingPair(idx, delta->gaps[p], window, &span, add);
   }
 }
 
@@ -491,74 +523,54 @@ void MatchSession::RetireDriftLocked(FlushDelta* delta,
   const size_t passes = widx.size();
   const size_t window = plan_->options().window_size;
   if (passes == 0 || window < 2 || delta->inserted.empty() ||
-      raw_matches_.empty()) {
+      pairs_.size() == 0) {
     return;
   }
   ScopedTimer timer(&report->rerank_seconds);
-  const size_t n = widx[0].size();
-  auto& pairs = pairs_;
-  auto& slots = slots_;
-  auto& lost = delta->lost;
-  // Retires (l, r) — no longer a candidate in any pass — and marks its
-  // cluster as having lost an edge.
-  auto retire = [&pairs, &slots, &lost](uint32_t l, uint32_t r) {
-    pairs.Erase(l, r);
-    lost.push_back(slots[0][l].handle);
-    return true;
+  // A standing pair can leave every window only through a pass where it
+  // sat within the window before this flush and an inserted entry landed
+  // between its records: per pass, collect the standing pairs of the old
+  // order that straddle an insertion point.
+  const auto& slots = slots_;
+  const auto& pairs = pairs_;
+  match::PairSet suspects;
+  auto suspect = [&suspects, &slots, &pairs](uint32_t l, uint32_t r) {
+    if (Standing(slots, pairs, l, r)) suspects.Add(l, r);
   };
-  // Two exact strategies, chosen by cost. Per-pair rank queries on the
-  // treap cost a logarithmic descent of key comparisons per pair per
-  // pass — fine while standing matches are few. Past that, one in-order
-  // walk per pass ranks *every* record in O(n) with no key comparisons at
-  // all, and pairs are re-ranked by O(1) integer distance checks against
-  // the dense rank table. The table is indexed by seq, and seqs are never
-  // reused — a session that churned records down leaves the seq space
-  // larger than the live corpus, so bulk also requires the table
-  // (seq-space-sized) to stay proportional to n or the zero-fill would
-  // dwarf the walks.
-  const size_t seq_space = slots_[0].size() + slots_[1].size();
-  const bool bulk = raw_matches_.size() * 8 >= n && seq_space <= 4 * n;
-  size_t drifted = 0;
-  if (bulk) {
-    // rank_of[side][seq * passes + p] = rank in pass p. The scratch
-    // persists across flushes: every live record appears in the
-    // full-index walks below, so each flush overwrites every entry it
-    // can later read (stale slots belong to dead seqs, which no standing
-    // pair references).
-    auto& rank_of = rank_scratch_;
-    rank_of[0].resize(slots_[0].size() * passes);
-    rank_of[1].resize(slots_[1].size() * passes);
-    std::vector<const IndexedEntry*> span;
-    for (size_t p = 0; p < passes; ++p) {
-      widx[p].SpanInto(0, n, &span);
-      for (size_t i = 0; i < span.size(); ++i) {
-        rank_of[span[i]->side][span[i]->seq * passes + p] =
-            static_cast<uint32_t>(i);
-      }
+  std::vector<size_t> points;
+  std::vector<const IndexedEntry*> span;
+  for (size_t p = 0; p < passes; ++p) {
+    // Old-order point of the i-th inserted entry (new rank c): c - i
+    // surviving entries precede it, plus the removed ones, whose gaps are
+    // <= c. (A key-preserving update lands one past its old entry; that
+    // shifts only the updated record's pairs, already retired.)
+    const std::vector<size_t>& ranks = delta->ranks[p];
+    const std::vector<size_t>& gaps = delta->gaps[p];
+    points.clear();
+    size_t removed = 0;
+    for (size_t i = 0; i < ranks.size(); ++i) {
+      while (removed < gaps.size() && gaps[removed] <= ranks[i]) ++removed;
+      points.push_back(ranks[i] - i + removed);
     }
-    drifted = raw_matches_.RemoveMatching([&](uint32_t l, uint32_t r) {
-      const uint32_t* pl = &rank_of[0][static_cast<size_t>(l) * passes];
-      const uint32_t* pr = &rank_of[1][static_cast<size_t>(r) * passes];
-      for (size_t p = 0; p < passes; ++p) {
-        const uint32_t dist = pl[p] > pr[p] ? pl[p] - pr[p] : pr[p] - pl[p];
-        if (dist <= window - 1) return false;  // still a candidate
-      }
-      return retire(l, r);
-    });
-  } else {
-    drifted = raw_matches_.RemoveMatching([&](uint32_t l, uint32_t r) {
-      const Record& left = *slots[0][l].record;
-      const Record& right = *slots[1][r].record;
-      for (size_t p = 0; p < passes; ++p) {
-        const size_t pl = widx[p].LowerBound({left.keys[p], 0, left.seq});
-        const size_t pr = widx[p].LowerBound({right.keys[p], 1, right.seq});
-        const size_t dist = pl > pr ? pl - pr : pr - pl;
-        if (dist <= window - 1) return false;  // still a candidate
-      }
-      return retire(l, r);
-    });
+    ForEachStraddlingPair(delta->before->window_passes()[p], points, window,
+                          &span, suspect);
   }
-  report->matches_dropped += drifted;
+  // Re-rank each suspect in the new order; retire it — an edge its
+  // cluster loses — unless some pass keeps it within the window.
+  for (const auto& [l, r] : suspects.pairs()) {
+    const Record& left = *slots_[0][l].record;
+    const Record& right = *slots_[1][r].record;
+    bool kept = false;
+    for (size_t p = 0; p < passes && !kept; ++p) {
+      const size_t pl = widx[p].LowerBound({left.keys[p], 0, l});
+      const size_t pr = widx[p].LowerBound({right.keys[p], 1, r});
+      kept = (pl > pr ? pl - pr : pr - pl) <= window - 1;
+    }
+    if (!kept && pairs_.Erase(l, r)) {
+      delta->lost.push_back(slots_[0][l].handle);
+      ++report->matches_dropped;
+    }
+  }
 }
 
 void MatchSession::ReclusterLocked(FlushDelta* delta,
@@ -570,8 +582,7 @@ void MatchSession::ReclusterLocked(FlushDelta* delta,
   std::vector<uint64_t>& lost = delta->lost;
   std::vector<uint64_t> touched = lost;
   for (const auto& [l, r] : delta->new_matches) {
-    if (!raw_matches_.Add(l, r)) continue;
-    pairs_.Add(l, r);
+    if (!pairs_.Add(l, r)) continue;
     added.emplace_back(l, r);
     touched.push_back(slots_[0][l].handle);
     touched.push_back(slots_[1][r].handle);
@@ -584,9 +595,9 @@ void MatchSession::ReclusterLocked(FlushDelta* delta,
   // One union-find over the live members of every touched cluster. A
   // cluster that lost no edge is still connected, so its members are
   // chained directly; one that lost an edge is re-joined from the
-  // standing pairs, the only scan of them this pass makes. Clusters the
-  // flush did not touch keep their handles: a dropped edge cannot split,
-  // and a new match cannot merge, a cluster that did not hold it.
+  // standing pairs among its own members. Clusters the flush did not
+  // touch keep their handles: a dropped edge cannot split, and a new
+  // match cannot merge, a cluster that did not hold it.
   match::UnionFind uf;
   std::vector<uint64_t> members;  // packed (side, seq), indexed by node
   std::unordered_map<uint64_t, size_t> node_of;
@@ -609,11 +620,13 @@ void MatchSession::ReclusterLocked(FlushDelta* delta,
       members.push_back(packed);
       if (intact) uf.Union(first, node);
     }
-  }
-  if (!lost.empty()) {
-    for (const auto& [l, r] : raw_matches_.pairs()) {
-      if (Has(lost, slots_[0][l].handle)) {
-        uf.Union(node_of.at(Handle(0, l)), node_of.at(Handle(1, r)));
+    for (size_t i = first; !intact && i < members.size(); ++i) {
+      for (size_t j = first; j < members.size(); ++j) {
+        if ((members[i] >> 32) == 0 && (members[j] >> 32) == 1 &&
+            pairs_.Contains(static_cast<uint32_t>(members[i]),
+                            static_cast<uint32_t>(members[j]))) {
+          uf.Union(i, j);
+        }
       }
     }
   }
@@ -720,7 +733,6 @@ void MatchSession::AdoptLocked(SharedMatchStatePtr state,
     corpus_trie_[side] = util::PersistentTrie<SessionRecordPtr>();
     ids_[side] = util::PersistentTrie<IdEntry>();
   }
-  raw_matches_ = match::PairSet();
   pairs_ = match::PersistentPairSet();
   cluster_members_.clear();
   build_stale_ = true;
@@ -756,13 +768,7 @@ void MatchSession::MaterializeLocked() {
   }
   std::erase_if(cluster_members_,
                 [](const auto& entry) { return entry.second.size() < 2; });
-  // Standing pairs: the hash engine from a key-ordered walk, the
-  // persistent set by adopting the frozen trie (journal starts empty).
-  raw_matches_ = match::PairSet();
-  auto& raw_matches = raw_matches_;
-  state->matches.ForEach([&raw_matches](uint32_t l, uint32_t r) {
-    raw_matches.Add(l, r);
-  });
+  // Standing pairs: adopt the frozen trie (journal starts empty).
   pairs_ = match::PersistentPairSet::FromFrozen(state->matches);
   indexes_ = state->indexes;
   build_stale_ = false;

@@ -95,8 +95,9 @@ struct IngestReport {
   double merge_seconds = 0;   ///< index delta merge alone (in index_seconds)
   double scan_seconds = 0;    ///< candidate scans alone (in match_seconds)
   double eval_seconds = 0;    ///< rule evaluation alone (in match_seconds)
-  double rerank_seconds = 0;  ///< windowing drift re-rank (in
-                              ///< cluster_seconds)
+  double rerank_seconds = 0;  ///< windowing drift check: the standing
+                              ///< pairs insertions straddled, re-ranked
+                              ///< (in cluster_seconds)
   double publish_seconds = 0;  ///< building + swapping in the new
                                ///< SessionGeneration (in cluster_seconds)
   /// Bytes of queryable state the publish step copied (as opposed to
@@ -284,11 +285,11 @@ class SessionView {
 /// For windowing plans this includes the non-local effects of the sorted
 /// order: a flush re-examines pairs pushed together by removals (they
 /// may newly match) and retires standing matches pushed apart by
-/// insertions (they are no longer sorted-neighborhood candidates) — the
-/// latter re-rank resolves every standing pair's per-pass ranks either
-/// by direct index queries or, past a size threshold, from one ordered
-/// walk per pass with comparison-free O(1) distance checks (see
-/// RetireDriftLocked).
+/// insertions (they are no longer sorted-neighborhood candidates). Both
+/// are local to the delta: only a pair straddling a removal gap can move
+/// closer, and only a standing pair that straddled an insertion point
+/// within the window can drift out — the drift check re-ranks just those
+/// (see RetireDriftLocked), never every standing pair.
 ///
 /// Records are addressed by (side, TupleId): side 0 is the plan's left
 /// relation, side 1 the right. Upserting an existing id replaces its
@@ -339,11 +340,9 @@ class MatchSession {
   Result<IngestReport> Flush() EXCLUDES(mu_);
 
   // Flush-independent queries: each call acquires the current generation
-  // once and answers from it (one View() call); none of them ever touches
-  // the writer mutex — the EXCLUDES(mu_) annotations make that PR 5
-  // guarantee a compile-time property under Clang TSA: a code path that
-  // routed a query through mu_ (or called one with mu_ held) would no
-  // longer build. Two consecutive calls may span a concurrent flush —
+  // once and answers from it (one View() call); none touches the writer
+  // mutex, which the EXCLUDES(mu_) annotations check at compile time
+  // under Clang TSA. Two consecutive calls may span a concurrent flush —
   // pin a View() when several reads must agree.
 
   /// A consistent read view of the current generation — one pointer
@@ -426,26 +425,27 @@ class MatchSession {
   /// and retires the standing matches of removed and updated records.
   void ResolveDeltaLocked(FlushDelta* delta, IngestReport* report)
       REQUIRES(mu_);
-  /// Advances the index snapshot chain by the delta and locates the
-  /// removal gaps in the new order (merge_seconds).
+  /// Advances the index snapshot chain by the delta and ranks the
+  /// inserted entries and removal gaps in the new order (merge_seconds).
   void AdvanceIndexesLocked(FlushDelta* delta, IngestReport* report)
       REQUIRES(mu_);
-  /// Candidate pairs the delta creates: the windows around every
-  /// inserted entry and every removal gap, or the inserted records'
-  /// blocks; standing matches are skipped (scan_seconds).
+  /// Candidate pairs the delta creates: the windows around inserted
+  /// entries and the pairs straddling removal gaps, or the inserted
+  /// records' blocks; standing matches are skipped (scan_seconds).
   void ScanLocked(FlushDelta* delta, IngestReport* report) REQUIRES(mu_);
   /// Evaluates the candidates (batch strips when profitable, else scalar
   /// across num_threads) into delta->new_matches (eval_seconds).
   void EvaluateLocked(FlushDelta* delta, IngestReport* report)
       REQUIRES(mu_);
   /// Retires standing windowing matches that insertions pushed out of
-  /// every window (rerank_seconds).
+  /// every window: re-ranks the standing pairs of the old order that
+  /// straddle an insertion point within the window (rerank_seconds).
   void RetireDriftLocked(FlushDelta* delta, IngestReport* report)
       REQUIRES(mu_);
-  /// Folds the new matches into the pair sets and recomputes cluster
+  /// Folds the new matches into the pair set and recomputes cluster
   /// handles over only the clusters the flush touched: one union-find
-  /// pass over their live members, scanning standing pairs only when
-  /// some cluster lost an edge.
+  /// pass over their live members; a cluster that lost an edge re-joins
+  /// from the standing pairs among its own members.
   void ReclusterLocked(FlushDelta* delta, IngestReport* report)
       REQUIRES(mu_);
   /// Freezes the build-side state into the next SharedMatchState under
@@ -539,12 +539,11 @@ class MatchSession {
   /// last flush (reported as IngestReport::coalesced_deltas).
   size_t pending_coalesced_ GUARDED_BY(mu_) = 0;
 
-  /// Standing raw match pairs as (left seq, right seq), twice: the hash
-  /// PairSet is the O(1) Contains engine the candidate scans probe per
-  /// pair; the persistent set carries the same membership as a trie so
+  /// Standing raw match pairs as (left seq, right seq): a trie, so
   /// publishing is an O(1) freeze (it also journals the net added/retired
-  /// delta each flush publishes). Double-maintained on add/retire.
-  match::PairSet raw_matches_ GUARDED_BY(mu_);
+  /// delta each flush publishes). Both records of a standing pair share
+  /// a cluster handle, so a membership probe compares the slots' handles
+  /// before it touches the trie.
   match::PersistentPairSet pairs_ GUARDED_BY(mu_);
 
   /// The current version of the persistent candidate indexes: one sorted
@@ -577,11 +576,6 @@ class MatchSession {
   /// flush this session has to build itself first re-materializes them
   /// from the published state (MaterializeLocked).
   bool build_stale_ GUARDED_BY(mu_) = false;
-
-  /// Bulk-rerank rank table, reused across flushes so the ~1 MB
-  /// allocation is paid once (every slot a flush reads is rewritten by
-  /// its own full-index walks first).
-  std::vector<uint32_t> rank_scratch_[2] GUARDED_BY(mu_);
 
   /// Reusable arena for the batch-evaluation transients of one flush
   /// (columns, strips, lane masks). Reset at the start of every

@@ -17,19 +17,4 @@ void PairSet::Merge(const PairSet& other) {
   for (const auto& [l, r] : other.pairs()) Add(l, r);
 }
 
-size_t PairSet::RemoveMatching(
-    const std::function<bool(uint32_t, uint32_t)>& drop) {
-  size_t kept = 0;
-  for (const auto& [l, r] : pairs_) {
-    if (drop(l, r)) {
-      index_.erase(Key(l, r));
-    } else {
-      pairs_[kept++] = {l, r};
-    }
-  }
-  const size_t removed = pairs_.size() - kept;
-  pairs_.resize(kept);
-  return removed;
-}
-
 }  // namespace mdmatch::match

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -38,13 +37,6 @@ class PairSet {
 
   /// Inserts every pair of `other`.
   void Merge(const PairSet& other);
-
-  /// Removes every pair for which `drop` returns true, preserving the
-  /// relative order of the survivors; returns how many were removed.
-  /// Used by incremental sessions to retire pairs whose records were
-  /// removed or updated.
-  size_t RemoveMatching(
-      const std::function<bool(uint32_t, uint32_t)>& drop);
 
  private:
   static uint64_t Key(uint32_t l, uint32_t r) { return PairKey(l, r); }

@@ -4,12 +4,15 @@
 // after it — must yield exactly the match set and clusters of a
 // single-batch Executor::Run over the final corpus, at 1 and 4 threads,
 // with cluster handles that map the clusters one-to-one after every
-// flush.
+// flush. A churn soak holds the same contract after every flush of a long
+// run of removal, re-insert and update waves, across window sizes and for
+// blocking.
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -51,11 +54,33 @@ class ApiSessionPropertyTest : public testing::Test {
     gen.num_base = 120;
     gen.seed = 91;
     data_ = datagen::GenerateCreditBilling(gen, &ops_);
-    plan_ = PlanBuilder(data_.pair, data_.target, &ops_)
-                .WithSigma(data_.mds)
-                .WithTrainingInstance(&data_.instance)
-                .Build()
-                .value();
+    plan_ = BuildPlan({});
+  }
+
+  PlanPtr BuildPlan(PlanOptions options) {
+    return PlanBuilder(data_.pair, data_.target, &ops_)
+        .WithSigma(data_.mds)
+        .WithOptions(std::move(options))
+        .WithTrainingInstance(&data_.instance)
+        .Build()
+        .value();
+  }
+
+  /// The session's matches and clusters equal one-shot execution on its
+  /// corpus.
+  static void AssertEqualsOneShot(const PlanPtr& plan,
+                                  const MatchSession& session,
+                                  const std::string& context) {
+    const SessionView view = session.View();
+    const Instance corpus = view.Corpus();
+    auto oneshot = Executor(plan).Run(corpus);
+    ASSERT_TRUE(oneshot.ok()) << oneshot.status();
+    ASSERT_EQ(SortedPairs(view.Matches()), SortedPairs(oneshot->matches))
+        << context;
+    ASSERT_EQ(CanonicalClusters(view.Clusters()),
+              CanonicalClusters(
+                  match::ClusterMatches(oneshot->matches, corpus)))
+        << context;
   }
 
   /// ClusterOf must map Clusters() one-to-one: every member of a cluster
@@ -159,17 +184,68 @@ class ApiSessionPropertyTest : public testing::Test {
       }
     }
 
-    Instance corpus = session.Corpus();
-    auto oneshot = Executor(plan_).Run(corpus);
-    ASSERT_TRUE(oneshot.ok()) << oneshot.status();
-    EXPECT_EQ(SortedPairs(session.Matches()), SortedPairs(oneshot->matches))
-        << "deltas=" << num_deltas << " threads=" << num_threads
-        << " removals=" << with_removals << " seed=" << seed;
-    EXPECT_EQ(CanonicalClusters(session.Clusters()),
-              CanonicalClusters(
-                  match::ClusterMatches(oneshot->matches, corpus)))
-        << "deltas=" << num_deltas << " threads=" << num_threads
-        << " removals=" << with_removals << " seed=" << seed;
+    AssertEqualsOneShot(plan_, session,
+                        "deltas=" + std::to_string(num_deltas) +
+                            " threads=" + std::to_string(num_threads) +
+                            " removals=" + std::to_string(with_removals) +
+                            " seed=" + std::to_string(seed));
+  }
+
+  /// Churn soak: after a bulk load, waves that remove a share of the live
+  /// records, re-insert most removed ones and update a few more, one
+  /// flush each — at least 30, and on until the seq space exceeds 4x the
+  /// live corpus (seqs are never reused, so every re-insert takes a fresh
+  /// one). After every flush the session equals one-shot execution and
+  /// ClusterOf maps Clusters() one-to-one.
+  void CheckChurnSoak(const PlanPtr& plan, uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> coin(0, 1);
+    MatchSession session(plan);
+    std::vector<bool> live[2];
+    for (int side = 0; side < 2; ++side) {
+      const Relation& rel = side == 0 ? data_.instance.left()
+                                      : data_.instance.right();
+      live[side].assign(rel.size(), true);
+      for (uint32_t i = 0; i < rel.size(); ++i) {
+        ASSERT_TRUE(session.Upsert(side, rel.tuple(i)).ok());
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(FlushAndCheckHandles(&session));
+    auto seq_space = [&session] {
+      const SessionView view = session.View();
+      const SharedMatchState& state = *view.state()->state;
+      return size_t{state.next_seq[0]} + state.next_seq[1];
+    };
+    auto corpus = [&session] {
+      return session.left_size() + session.right_size();
+    };
+    for (size_t wave = 0; wave < 30 || seq_space() <= 4 * corpus(); ++wave) {
+      ASSERT_LT(wave, 200u) << "the seq space stopped growing";
+      for (int side = 0; side < 2; ++side) {
+        const Relation& rel = side == 0 ? data_.instance.left()
+                                        : data_.instance.right();
+        for (uint32_t i = 0; i < rel.size(); ++i) {
+          const double roll = coin(rng);
+          if (live[side][i] && roll < 0.3) {
+            ASSERT_TRUE(session.Remove(side, rel.tuple(i).id()).ok());
+            live[side][i] = false;
+          } else if (live[side][i] && roll < 0.35) {
+            Tuple updated = rel.tuple(i);
+            updated.set_value(0, updated.value(0) + "~" +
+                                     std::to_string(wave));
+            ASSERT_TRUE(session.Upsert(side, std::move(updated)).ok());
+          } else if (!live[side][i] && roll < 0.7) {
+            ASSERT_TRUE(session.Upsert(side, rel.tuple(i)).ok());
+            live[side][i] = true;
+          }
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(FlushAndCheckHandles(&session));
+      ASSERT_NO_FATAL_FAILURE(AssertEqualsOneShot(
+          plan, session,
+          "seed=" + std::to_string(seed) + " wave=" + std::to_string(wave)));
+    }
+    EXPECT_GT(seq_space(), 4 * corpus());
   }
 
   sim::SimOpRegistry ops_;
@@ -193,6 +269,20 @@ TEST_F(ApiSessionPropertyTest, AnySplitEqualsSingleBatchFourThreads) {
                        seed);
     }
   }
+}
+
+TEST_F(ApiSessionPropertyTest, ChurnSoakAcrossWindowSizes) {
+  for (size_t window : {2, 3, 10}) {
+    PlanOptions options;
+    options.window_size = window;
+    CheckChurnSoak(BuildPlan(options), /*seed=*/window);
+  }
+}
+
+TEST_F(ApiSessionPropertyTest, ChurnSoakBlocking) {
+  PlanOptions options;
+  options.candidates = PlanOptions::Candidates::kBlocking;
+  CheckChurnSoak(BuildPlan(options), /*seed=*/5);
 }
 
 TEST_F(ApiSessionPropertyTest, SplitsWithRemovalWaveStillMatch) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -27,6 +28,18 @@ std::vector<std::pair<uint32_t, uint32_t>> SortedPairs(
   auto pairs = set.pairs();
   std::sort(pairs.begin(), pairs.end());
   return pairs;
+}
+
+/// The session's standing matches as (left id, right id).
+std::set<std::pair<TupleId, TupleId>> IdPairs(const MatchSession& session) {
+  const SessionView view = session.View();
+  const Instance corpus = view.Corpus();
+  const match::MatchResult matches = view.Matches();
+  std::set<std::pair<TupleId, TupleId>> out;
+  for (const auto& [l, r] : matches.pairs()) {
+    out.emplace(corpus.left().tuple(l).id(), corpus.right().tuple(r).id());
+  }
+  return out;
 }
 
 /// Order-independent form of a clustering: sorted clusters of sorted
@@ -219,6 +232,71 @@ TEST_F(ApiSessionTest, ShardedIncrementalDeltaMatchesOneShot) {
   auto report = session.Flush();
   ASSERT_TRUE(report.ok());
   EXPECT_GT(report->removed, 0u);
+  ExpectSessionEqualsOneShot(*plan, session);
+}
+
+// Window drift pinned on one standing pair, under one sort key and a
+// window of 2, so only neighbours in the order are candidates: a record
+// sorting between the pair's records retires it, removing that record
+// brings it back through the removal-gap scan, and an update that keeps
+// the key, flushed with an insert next to it, stays exact.
+TEST_F(ApiSessionTest, DriftRetiresAndGapScanRestoresAStandingPair) {
+  auto base = BuildPlan();
+  ASSERT_TRUE(base.ok()) << base.status();
+  const match::KeyFunction key = (*base)->sort_keys().front();
+  PlanOptions options;
+  options.window_size = 2;
+  auto plan = PlanBuilder(data_.pair, data_.target, &ops_)
+                  .WithSigma(data_.mds)
+                  .WithOptions(options)
+                  .WithTrainingInstance(&data_.instance)
+                  .WithSortKeys({key})
+                  .Build();
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  MatchSession session(*plan);
+  UpsertRange(&session, 0, data_.instance.left().size());
+  ASSERT_TRUE(session.Flush().ok());
+
+  // A standing pair: its records are neighbours in the order. A copy of
+  // the first of them under a fresh id sorts right after it (same key and
+  // side, a later seq), so between the two.
+  const Instance corpus = session.Corpus();
+  const match::MatchResult matches = session.Matches();
+  ASSERT_GT(matches.size(), 0u);
+  const Tuple left = corpus.left().tuple(matches.pairs().front().first);
+  const Tuple right = corpus.right().tuple(matches.pairs().front().second);
+  const std::pair<TupleId, TupleId> pair{left.id(), right.id()};
+  const int first = key.Render(left, 0) <= key.Render(right, 1) ? 0 : 1;
+  const Tuple& copied = first == 0 ? left : right;
+  const TupleId copy_id = 1000000;
+  ASSERT_TRUE(session.Upsert(first, Tuple(copy_id, copied.values())).ok());
+  auto pushed = session.Flush();
+  ASSERT_TRUE(pushed.ok()) << pushed.status();
+  EXPECT_EQ(pushed->matches_dropped, 1u) << "the pair drifted out";
+  EXPECT_EQ(IdPairs(session).count(pair), 0u);
+  ExpectSessionEqualsOneShot(*plan, session);
+
+  ASSERT_TRUE(session.Remove(first, copy_id).ok());
+  auto pulled = session.Flush();
+  ASSERT_TRUE(pulled.ok()) << pulled.status();
+  EXPECT_GE(pulled->matches_added, 1u);
+  EXPECT_EQ(IdPairs(session).count(pair), 1u) << "the gap scan restores it";
+  ExpectSessionEqualsOneShot(*plan, session);
+
+  // An update of the first record that leaves its key unchanged (its old
+  // and new index entries are equal), next to an insert of another copy.
+  Tuple updated = copied;
+  bool same_key = false;
+  for (AttrId a = 0; a < static_cast<AttrId>(copied.arity()) && !same_key;
+       ++a) {
+    updated = copied;
+    updated.set_value(a, copied.value(a) + "~");
+    same_key = key.Render(updated, first) == key.Render(copied, first);
+  }
+  ASSERT_TRUE(same_key) << "no attribute outside the sort key";
+  ASSERT_TRUE(session.Upsert(first, std::move(updated)).ok());
+  ASSERT_TRUE(session.Upsert(first, Tuple(copy_id + 1, copied.values())).ok());
+  ASSERT_TRUE(session.Flush().ok());
   ExpectSessionEqualsOneShot(*plan, session);
 }
 

@@ -1,7 +1,7 @@
 // Tests for the sorted-neighborhood matcher (paper Exp-3 substrate) and
 // its interplay with RCK-derived rules and keys.
 
-#include "match/sorted_neighborhood.h"
+#include "candidate/sorted_neighborhood.h"
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,11 @@
 
 namespace mdmatch::match {
 namespace {
+
+using candidate::SnOptions;
+using candidate::SnResult;
+using candidate::SortedNeighborhood;
+using candidate::SortKeysFromRules;
 
 class SnTest : public testing::Test {
  protected:
