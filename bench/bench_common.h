@@ -80,9 +80,10 @@ inline RckDeduction DeduceRcks(const datagen::CreditBillingData& data,
 /// cheapest-first under the quality model so non-matching pairs fail out
 /// of a rule on a short attribute ("RCKs reduce the cost of inspecting a
 /// single pair", Section 1).
-/// With relax=false the strict equality RCKs are returned as-is — the
-/// paper's key-based matching (Example 2.3's eq(cc) ∧ eq(phn) shape)
-/// before the θ = 0.8 similarity relaxation.
+/// With relax=false the RCKs are returned unrelaxed: their `=` conjuncts
+/// stay exact, but conjuncts inherited from Σ's MDs keep their own
+/// similarity operators (dl@0.80 on the generated corpus), so the rules
+/// are not all-equality.
 inline std::vector<match::MatchRule> TopRckRules(
     const std::vector<RelativeKey>& rcks, sim::SimOpRegistry* ops,
     const QualityModel& quality, size_t top_k = 5, bool relax = true) {

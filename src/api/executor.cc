@@ -10,7 +10,6 @@
 #include "candidate/windowing.h"
 #include "match/blocking.h"
 #include "match/clustering.h"
-#include "util/arena.h"
 #include "util/stopwatch.h"
 
 namespace mdmatch::api {
@@ -87,65 +86,7 @@ ExecutionReport Executor::RunChecked(const Instance& batch,
     }
     if (workers == 0) workers = 1;
 
-    if (options_.batch_eval && evaluator.BatchProfitable() && !pairs.empty()) {
-      // --- SoA batch path: strips of pairs, atom-at-a-time SIMD kernels,
-      // arena-backed transients. Decisions are bit-identical to the
-      // scalar loops below.
-      util::Arena arena;
-      match::ValueInterner interner;
-      match::BatchColumns cols[2];
-      for (int side = 0; side < 2; ++side) {
-        const Relation& rel = side == 0 ? batch.left() : batch.right();
-        cols[side] = evaluator.MakeBatchColumns(side, rel.size(), &arena);
-        for (size_t i = 0; i < rel.size(); ++i) {
-          evaluator.FillBatchRow(
-              &cols[side], static_cast<uint32_t>(i), rel.tuple(i),
-              profiles[side].empty() ? nullptr : &profiles[side][i],
-              &interner);
-        }
-      }
-      const candidate::PairStrips strips =
-          candidate::BuildStrips(pairs, &arena);
-      uint8_t* lane_dec = arena.AllocateArrayOf<uint8_t>(strips.lanes);
-      std::fill_n(lane_dec, strips.lanes, uint8_t{0});
-      match::BatchStats stats;
-      if (workers <= 1 || strips.num_batches <= 1) {
-        for (size_t b = 0; b < strips.num_batches; ++b) {
-          const uint32_t first = strips.batch_first_lane[b];
-          evaluator.MatchesBatch(cols[0], cols[1], strips.batches[b],
-                                 lane_dec + first, &stats);
-        }
-      } else {
-        std::vector<match::BatchStats> worker_stats(workers);
-        ParallelChunks(strips.num_batches, workers,
-                       [&](size_t w, size_t begin, size_t end) {
-                         for (size_t b = begin; b < end; ++b) {
-                           const uint32_t first = strips.batch_first_lane[b];
-                           evaluator.MatchesBatch(
-                               cols[0], cols[1], strips.batches[b],
-                               lane_dec + first, &worker_stats[w]);
-                         }
-                       });
-        for (const match::BatchStats& s : worker_stats) {
-          stats.strips += s.strips;
-          stats.lanes += s.lanes;
-          stats.simd_lanes_evaluated += s.simd_lanes_evaluated;
-        }
-      }
-      // Original pair order for result merging, matching the sequential
-      // scalar loop exactly.
-      uint8_t* decision = arena.AllocateArrayOf<uint8_t>(pairs.size());
-      for (size_t lane = 0; lane < strips.lanes; ++lane) {
-        decision[strips.lane_pair[lane]] = lane_dec[lane];
-      }
-      for (size_t i = 0; i < pairs.size(); ++i) {
-        const auto& [l, r] = pairs[i];
-        if (decision[i] != 0) report.matches.Add(l, r);
-      }
-      report.strips = stats.strips;
-      report.simd_lanes_evaluated = stats.simd_lanes_evaluated;
-      report.arena_bytes = arena.bytes_used();
-    } else if (workers <= 1) {
+    if (workers <= 1) {
       for (const auto& [l, r] : pairs) {
         if (matches_pair(l, r)) report.matches.Add(l, r);
       }

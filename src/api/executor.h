@@ -27,13 +27,6 @@ struct ExecutorOptions {
   /// Compute ground-truth quality metrics when the batch carries entity
   /// ids. Disable on production traffic without truth labels.
   bool evaluate_quality = true;
-  /// Route the match stage through the SoA batch evaluator (pair strips,
-  /// SIMD atom kernels, arena-backed transients) when the compiled
-  /// evaluator reports the batch path profitable (an equality-only atom
-  /// basis — see CompiledEvaluator::BatchProfitable). Decisions are
-  /// bit-identical to the scalar path; set false to force scalar for A/B
-  /// measurement.
-  bool batch_eval = true;
 };
 
 /// Per-stage wall time of one execution, measured on the monotonic clock
@@ -58,9 +51,6 @@ struct ExecutionReport {
   match::CandidateQuality candidate_quality;
   StageTimings timings;
   size_t pairs_compared = 0;  ///< candidate pairs the matcher inspected
-  size_t strips = 0;  ///< batch-eval units (strips + mixed batches) run
-  size_t simd_lanes_evaluated = 0;  ///< atom-lanes that took a SIMD kernel
-  size_t arena_bytes = 0;  ///< arena high-water of the batch transients
 };
 
 /// Streaming consumer of matched pairs: called once per (left_index,

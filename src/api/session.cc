@@ -6,7 +6,6 @@
 #include "api/parallel.h"
 #include "api/plan_io.h"
 #include "candidate/indexed_entry.h"
-#include "candidate/windowing.h"
 #include "util/fnv.h"
 #include "util/stopwatch.h"
 
@@ -509,12 +508,7 @@ void MatchSession::ScanLocked(FlushDelta* delta, IngestReport* report) {
 }
 
 void MatchSession::EvaluateLocked(FlushDelta* delta, IngestReport* report) {
-  if (options_.batch_eval && plan_->evaluator().BatchProfitable()) {
-    EvaluatePairsBatch(delta->candidates.pairs(), &delta->new_matches,
-                       report);
-  } else {
-    EvaluatePairs(delta->candidates.pairs(), &delta->new_matches, report);
-  }
+  EvaluatePairs(delta->candidates.pairs(), &delta->new_matches, report);
 }
 
 void MatchSession::RetireDriftLocked(FlushDelta* delta,
@@ -810,65 +804,6 @@ void MatchSession::EvaluatePairs(const SeqPairs& pairs, SeqPairs* out,
   for (const auto& chunk : local) {
     out->insert(out->end(), chunk.begin(), chunk.end());
   }
-}
-
-void MatchSession::EvaluatePairsBatch(const SeqPairs& pairs, SeqPairs* out,
-                                      IngestReport* report) {
-  ScopedTimer eval_timer(&report->eval_seconds);
-  report->pairs_evaluated += pairs.size();
-  if (pairs.empty()) return;
-  const match::CompiledEvaluator& evaluator = plan_->evaluator();
-  batch_arena_.Reset();
-  util::Arena& arena = batch_arena_;
-
-  // Columns are indexed by seq (the pair elements); size them to the
-  // largest touched seq and fill only the rows some pair references.
-  uint32_t max_seq[2] = {0, 0};
-  for (const auto& [l, r] : pairs) {
-    max_seq[0] = std::max(max_seq[0], l);
-    max_seq[1] = std::max(max_seq[1], r);
-  }
-  match::ValueInterner interner;
-  match::BatchColumns cols[2];
-  uint8_t* filled[2];
-  for (int side = 0; side < 2; ++side) {
-    const size_t rows = static_cast<size_t>(max_seq[side]) + 1;
-    cols[side] = evaluator.MakeBatchColumns(side, rows, &arena);
-    filled[side] = arena.AllocateArrayOf<uint8_t>(rows);
-    std::fill_n(filled[side], rows, uint8_t{0});
-  }
-  const auto& slots = slots_;
-  auto fill_row = [&](int side, uint32_t seq) {
-    if (filled[side][seq] != 0) return;
-    filled[side][seq] = 1;
-    const Record& rec = *slots[side][seq].record;
-    evaluator.FillBatchRow(&cols[side], seq, rec.tuple, &rec.profile,
-                           &interner);
-  };
-  for (const auto& [l, r] : pairs) {
-    fill_row(0, l);
-    fill_row(1, r);
-  }
-
-  const candidate::PairStrips strips = candidate::BuildStrips(pairs, &arena);
-  uint8_t* lane_dec = arena.AllocateArrayOf<uint8_t>(strips.lanes);
-  std::fill_n(lane_dec, strips.lanes, uint8_t{0});
-  match::BatchStats stats;
-  for (size_t b = 0; b < strips.num_batches; ++b) {
-    evaluator.MatchesBatch(cols[0], cols[1], strips.batches[b],
-                           lane_dec + strips.batch_first_lane[b], &stats);
-  }
-  // Output in original pair order — the order EvaluatePairs produces.
-  uint8_t* decision = arena.AllocateArrayOf<uint8_t>(pairs.size());
-  for (size_t lane = 0; lane < strips.lanes; ++lane) {
-    decision[strips.lane_pair[lane]] = lane_dec[lane];
-  }
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    if (decision[i] != 0) out->push_back(pairs[i]);
-  }
-  report->strips += stats.strips;
-  report->simd_lanes_evaluated += stats.simd_lanes_evaluated;
-  report->arena_bytes += arena.bytes_used();
 }
 
 size_t MatchSession::pending_ops() const {

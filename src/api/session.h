@@ -18,7 +18,6 @@
 #include "match/match_result.h"
 #include "match/persistent_pairs.h"
 #include "schema/instance.h"
-#include "util/arena.h"
 #include "util/persistent_trie.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -33,12 +32,6 @@ struct SessionOptions {
   /// Minimum candidate pairs per worker in the evaluation stage; below it
   /// the stage stays sequential. 0 disables the scaling.
   size_t min_pairs_per_thread = 2048;
-  /// Route rule evaluation through the SoA batch evaluator (pair strips,
-  /// SIMD atom kernels, the session's reusable arena) when the compiled
-  /// evaluator reports the batch path profitable (an equality-only atom
-  /// basis — see CompiledEvaluator::BatchProfitable). Decisions are
-  /// bit-identical to the scalar path.
-  bool batch_eval = true;
   /// Optional shared catalog. Sessions created with the same catalog, an
   /// identical compiled plan (keyed by PlanFingerprint) and the same
   /// corpus_id attach to one candidate::IndexCatalog entry: the first
@@ -85,9 +78,6 @@ struct IngestReport {
   size_t corpus_left = 0;      ///< live left records after the flush
   size_t corpus_right = 0;
   size_t total_matches = 0;    ///< standing match pairs after the flush
-  size_t strips = 0;  ///< batch-eval units this flush ran (0 = scalar path)
-  size_t simd_lanes_evaluated = 0;  ///< atom-lanes that took a SIMD kernel
-  size_t arena_bytes = 0;  ///< batch-arena bytes used by this flush
   double index_seconds = 0;    ///< corpus bookkeeping + index merge
   double match_seconds = 0;    ///< candidate scans + rule evaluation
   double cluster_seconds = 0;  ///< drift re-rank + cluster upkeep + publish
@@ -433,8 +423,8 @@ class MatchSession {
   /// entries and the pairs straddling removal gaps, or the inserted
   /// records' blocks; standing matches are skipped (scan_seconds).
   void ScanLocked(FlushDelta* delta, IngestReport* report) REQUIRES(mu_);
-  /// Evaluates the candidates (batch strips when profitable, else scalar
-  /// across num_threads) into delta->new_matches (eval_seconds).
+  /// Evaluates the candidates across num_threads into
+  /// delta->new_matches (eval_seconds).
   void EvaluateLocked(FlushDelta* delta, IngestReport* report)
       REQUIRES(mu_);
   /// Retires standing windowing matches that insertions pushed out of
@@ -480,17 +470,11 @@ class MatchSession {
     return published_;
   }
 
-  /// Scalar evaluation of a deduped candidate list, parallel-chunked
-  /// like the Executor's match stage; appends passing pairs to `out` in
-  /// input order.
+  /// Evaluation of a deduped candidate list, parallel-chunked like the
+  /// Executor's match stage; appends passing pairs to `out` in input
+  /// order.
   void EvaluatePairs(const SeqPairs& pairs, SeqPairs* out,
                      IngestReport* report) REQUIRES(mu_);
-  /// Batched form of EvaluatePairs: regroups the candidates into strips
-  /// (candidate::BuildStrips) and runs CompiledEvaluator::MatchesBatch
-  /// over columns built in batch_arena_. Same output order. Requires
-  /// plan_->evaluator().SupportsBatch().
-  void EvaluatePairsBatch(const SeqPairs& pairs, SeqPairs* out,
-                          IngestReport* report) REQUIRES(mu_);
 
   PlanPtr plan_;
   SessionOptions options_;
@@ -576,12 +560,6 @@ class MatchSession {
   /// flush this session has to build itself first re-materializes them
   /// from the published state (MaterializeLocked).
   bool build_stale_ GUARDED_BY(mu_) = false;
-
-  /// Reusable arena for the batch-evaluation transients of one flush
-  /// (columns, strips, lane masks). Reset at the start of every
-  /// EvaluatePairsBatch; steady-state flushes allocate from already
-  /// committed pages.
-  util::Arena batch_arena_ GUARDED_BY(mu_);
 };
 
 }  // namespace mdmatch::api

@@ -82,94 +82,4 @@ match::CandidateSet WindowCandidatesMultiPass(
   return out;
 }
 
-PairStrips BuildStrips(
-    const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
-    util::Arena* arena) {
-  PairStrips strips;
-  const size_t n = pairs.size();
-  strips.lanes = n;
-  if (n == 0) return strips;
-  // Stable counting sort by left row: runs become strips, and right order
-  // within a run (and among singletons) stays the emission order. Left
-  // rows are dense record positions / seqs, so the count table is small
-  // relative to the pair list and the sort is two linear passes.
-  uint32_t max_left = 0;
-  for (const auto& [l, r] : pairs) max_left = std::max(max_left, l);
-  const size_t buckets = static_cast<size_t>(max_left) + 2;
-  uint32_t* start = arena->AllocateArrayOf<uint32_t>(buckets);
-  std::fill_n(start, buckets, 0u);
-  for (const auto& [l, r] : pairs) ++start[l + 1];
-  for (size_t b = 1; b < buckets; ++b) start[b] += start[b - 1];
-  uint32_t* order = arena->AllocateArrayOf<uint32_t>(n);
-  for (size_t i = 0; i < n; ++i) {
-    order[start[pairs[i].first]++] = static_cast<uint32_t>(i);
-  }
-  size_t num_strips = 0;
-  size_t singletons = 0;
-  for (size_t i = 0; i < n;) {
-    size_t j = i + 1;
-    while (j < n && pairs[order[j]].first == pairs[order[i]].first) ++j;
-    if (j - i >= 2) {
-      ++num_strips;
-    } else {
-      ++singletons;
-    }
-    i = j;
-  }
-  const size_t num_batches = num_strips + (singletons > 0 ? 1 : 0);
-  match::PairBatch* batches =
-      arena->AllocateArrayOf<match::PairBatch>(num_batches);
-  uint32_t* first_lane = arena->AllocateArrayOf<uint32_t>(num_batches);
-  uint32_t* rights = arena->AllocateArrayOf<uint32_t>(n);
-  uint32_t* lefts =
-      singletons > 0 ? arena->AllocateArrayOf<uint32_t>(singletons) : nullptr;
-  uint32_t* lane_pair = arena->AllocateArrayOf<uint32_t>(n);
-  // Strips first (lane-contiguous), the mixed singleton batch last.
-  size_t lane = 0;
-  size_t batch = 0;
-  for (size_t i = 0; i < n;) {
-    size_t j = i + 1;
-    while (j < n && pairs[order[j]].first == pairs[order[i]].first) ++j;
-    if (j - i >= 2) {
-      first_lane[batch] = static_cast<uint32_t>(lane);
-      match::PairBatch& b = batches[batch++];
-      b.left_rows = nullptr;
-      b.left_row = pairs[order[i]].first;
-      b.right_rows = rights + lane;
-      b.size = static_cast<uint32_t>(j - i);
-      for (size_t k = i; k < j; ++k) {
-        rights[lane] = pairs[order[k]].second;
-        lane_pair[lane] = order[k];
-        ++lane;
-      }
-    }
-    i = j;
-  }
-  if (singletons > 0) {
-    first_lane[batch] = static_cast<uint32_t>(lane);
-    match::PairBatch& b = batches[batch++];
-    b.left_rows = lefts;
-    b.left_row = 0;
-    b.right_rows = rights + lane;
-    b.size = static_cast<uint32_t>(singletons);
-    size_t s = 0;
-    for (size_t i = 0; i < n;) {
-      size_t j = i + 1;
-      while (j < n && pairs[order[j]].first == pairs[order[i]].first) ++j;
-      if (j - i == 1) {
-        lefts[s++] = pairs[order[i]].first;
-        rights[lane] = pairs[order[i]].second;
-        lane_pair[lane] = order[i];
-        ++lane;
-      }
-      i = j;
-    }
-  }
-  strips.batches = batches;
-  strips.batch_first_lane = first_lane;
-  strips.lane_pair = lane_pair;
-  strips.num_batches = num_batches;
-  return strips;
-}
-
 }  // namespace mdmatch::candidate

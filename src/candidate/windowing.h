@@ -4,14 +4,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "match/compiled_eval.h"
 #include "match/key_function.h"
 #include "match/match_result.h"
 #include "schema/instance.h"
-#include "util/arena.h"
 
 namespace mdmatch::candidate {
 
@@ -61,33 +58,6 @@ match::CandidateSet WindowCandidates(const Instance& instance,
 match::CandidateSet WindowCandidatesMultiPass(
     const Instance& instance, const std::vector<match::KeyFunction>& keys,
     size_t window_size);
-
-/// \brief A candidate pair list regrouped into batch-evaluation units.
-///
-/// Lanes are the pairs renumbered into batch order: batch b covers lanes
-/// [batch_first_lane[b], batch_first_lane[b] + batches[b].size), and
-/// lane_pair[lane] is the pair's index in the original list — the map
-/// callers use to scatter decisions back out. All arrays live in the
-/// arena passed to BuildStrips.
-struct PairStrips {
-  const match::PairBatch* batches = nullptr;
-  const uint32_t* batch_first_lane = nullptr;  ///< [num_batches]
-  const uint32_t* lane_pair = nullptr;         ///< [lanes] original index
-  size_t num_batches = 0;
-  size_t lanes = 0;  ///< == pairs.size()
-};
-
-/// \brief Groups candidate pairs into strips for batched evaluation.
-///
-/// Pairs sharing a left row become one strip (PairBatch in strip form,
-/// one left x many rights — the dominant shape windowing and blocking
-/// emit); leftover singleton pairs concatenate into one mixed-pairs
-/// batch. Pair order within a left group is preserved (stable), and
-/// every pair appears in exactly one lane. Row values are the pair
-/// elements verbatim; callers index BatchColumns with the same rows.
-PairStrips BuildStrips(
-    const std::vector<std::pair<uint32_t, uint32_t>>& pairs,
-    util::Arena* arena);
 
 }  // namespace mdmatch::candidate
 

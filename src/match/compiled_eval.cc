@@ -9,7 +9,6 @@
 #include "sim/jaro.h"
 #include "sim/phonetic.h"
 #include "sim/qgram.h"
-#include "util/simd.h"
 
 namespace mdmatch::match {
 
@@ -153,7 +152,6 @@ CompiledEvaluator CompiledEvaluator::ForRules(
     }
   }
   eval.AssignProfileSlots();
-  eval.ComputeRuleAtomMasks();
   return eval;
 }
 
@@ -207,16 +205,7 @@ void CompiledEvaluator::AssignProfileSlots() {
     code_slots_[side].clear();
     gram_slots_[side].clear();
     sig_slots_[side].clear();
-    eq_slots_[side].clear();
-    len_slots_[side].clear();
   }
-  auto attr_slot = [](std::vector<AttrId>& slots, AttrId attr) {
-    for (size_t i = 0; i < slots.size(); ++i) {
-      if (slots[i] == attr) return static_cast<int>(i);
-    }
-    slots.push_back(attr);
-    return static_cast<int>(slots.size() - 1);
-  };
   auto code_slot = [&](int side, AttrId attr, sim::SimOpKind kind) {
     auto& slots = code_slots_[side];
     for (size_t i = 0; i < slots.size(); ++i) {
@@ -260,12 +249,6 @@ void CompiledEvaluator::AssignProfileSlots() {
       case sim::SimOpKind::kLevenshtein:
         atom.sig_slot[0] = sig_slot(0, atom.conjunct.attrs.left);
         atom.sig_slot[1] = sig_slot(1, atom.conjunct.attrs.right);
-        atom.len_slot[0] = attr_slot(len_slots_[0], atom.conjunct.attrs.left);
-        atom.len_slot[1] = attr_slot(len_slots_[1], atom.conjunct.attrs.right);
-        break;
-      case sim::SimOpKind::kEquality:
-        atom.eq_slot[0] = attr_slot(eq_slots_[0], atom.conjunct.attrs.left);
-        atom.eq_slot[1] = attr_slot(eq_slots_[1], atom.conjunct.attrs.right);
         break;
       default:
         break;
@@ -299,36 +282,6 @@ void CompiledEvaluator::SeedSelectivity(const Instance& instance,
   }
   SortAtoms();
   AssignProfileSlots();
-  ComputeRuleAtomMasks();
-}
-
-void CompiledEvaluator::ComputeRuleAtomMasks() {
-  if (mode_ != Mode::kRules) return;
-  all_rules_mask_ = num_rules_ == 0 ? 0
-                    : num_rules_ >= 64
-                        ? ~uint64_t{0}
-                        : (uint64_t{1} << num_rules_) - 1;
-  rule_atom_masks_.assign(num_rules_, 0);
-  rule_last_atom_.assign(num_rules_, UINT32_MAX);
-  if (!fallback_rules_.empty() || atoms_.size() > 64) return;
-  for (size_t ai = 0; ai < atoms_.size(); ++ai) {
-    uint64_t rules = atoms_[ai].rules;
-    while (rules != 0) {
-      const int r = std::countr_zero(rules);
-      rules &= rules - 1;
-      rule_atom_masks_[r] |= uint64_t{1} << ai;
-      rule_last_atom_[r] = static_cast<uint32_t>(ai);
-    }
-  }
-}
-
-bool CompiledEvaluator::BatchProfitable() const {
-  if (!SupportsBatch()) return false;
-  if (atoms_.empty()) return false;
-  for (const Atom& atom : atoms_) {
-    if (atom.info.kind != sim::SimOpKind::kEquality) return false;
-  }
-  return true;
 }
 
 RecordProfile CompiledEvaluator::ProfileRecord(const Tuple& tuple,
@@ -497,523 +450,6 @@ bool CompiledEvaluator::Matches(const Tuple& left, const Tuple& right,
       return MatchesFs(left, right, left_profile, right_profile);
   }
   return false;
-}
-
-BatchColumns CompiledEvaluator::MakeBatchColumns(int side, size_t rows,
-                                                 util::Arena* arena) const {
-  BatchColumns cols;
-  cols.side_ = side;
-  cols.rows_ = rows;
-  cols.eq_width_ = eq_slots_[side].size();
-  cols.len_width_ = len_slots_[side].size();
-  cols.sig_width_ = sig_slots_[side].size();
-  if (rows == 0) return cols;
-  cols.tuples_ = arena->AllocateArrayOf<const Tuple*>(rows);
-  cols.profiles_ = arena->AllocateArrayOf<const RecordProfile*>(rows);
-  if (cols.eq_width_ > 0) {
-    cols.eq_ids_ = arena->AllocateArrayOf<uint32_t>(cols.eq_width_ * rows);
-  }
-  if (cols.len_width_ > 0) {
-    cols.lengths_ = arena->AllocateArrayOf<uint32_t>(cols.len_width_ * rows);
-  }
-  if (cols.sig_width_ > 0) {
-    cols.sigs_ = arena->AllocateArrayOf<uint64_t>(cols.sig_width_ * rows);
-  }
-  return cols;
-}
-
-void CompiledEvaluator::FillBatchRow(BatchColumns* cols, uint32_t row,
-                                     const Tuple& tuple,
-                                     const RecordProfile* profile,
-                                     ValueInterner* interner) const {
-  const int side = cols->side_;
-  cols->tuples_[row] = &tuple;
-  cols->profiles_[row] = profile;
-  for (size_t s = 0; s < cols->eq_width_; ++s) {
-    cols->eq_ids_[row * cols->eq_width_ + s] =
-        interner->Intern(tuple.value(eq_slots_[side][s]));
-  }
-  for (size_t s = 0; s < cols->len_width_; ++s) {
-    const size_t len = tuple.value(len_slots_[side][s]).size();
-    // Clamped lengths only weaken the batch length gates (they pass more
-    // lanes to the exact residual), never flip a decision.
-    cols->lengths_[row * cols->len_width_ + s] =
-        len > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(len);
-  }
-  for (size_t s = 0; s < cols->sig_width_; ++s) {
-    cols->sigs_[row * cols->sig_width_ + s] =
-        profile != nullptr && s < profile->signatures.size()
-            ? profile->signatures[s]
-            : PresenceSignature(tuple.value(sig_slots_[side][s]));
-  }
-}
-
-uint64_t CompiledEvaluator::EvalAtomChunk(const Atom& atom,
-                                          const BatchColumns& left,
-                                          const BatchColumns& right,
-                                          const PairBatch& batch,
-                                          uint32_t base, uint32_t count,
-                                          uint64_t eval,
-                                          sim::MyersPattern* scratch,
-                                          BatchStats* stats) const {
-  namespace simd = util::simd;
-  const bool is_strip = batch.left_rows == nullptr;
-  const simd::Level level = simd::ActiveLevel();
-  const uint32_t* lrows = batch.left_rows;  // null on strips
-  const uint32_t* rrows = batch.right_rows + base;
-  auto lrow = [&](uint32_t i) { return is_strip ? batch.left_row : lrows[base + i]; };
-  auto count_simd = [&] {
-    if (stats != nullptr && level != simd::Level::kScalar) {
-      stats->simd_lanes_evaluated +=
-          static_cast<uint64_t>(std::popcount(eval));
-    }
-  };
-  // When few lanes are live (late atoms of mostly-decided chunks), the
-  // full-width gathers cost more than they save; walk the live lanes
-  // scalar instead. The gates and exact kernels are the same, so the
-  // returned mask is identical either way.
-  const bool sparse =
-      static_cast<uint32_t>(std::popcount(eval)) * 4 < count;
-  switch (atom.info.kind) {
-    case sim::SimOpKind::kEquality: {
-      // Interned ids: equal ids <=> equal strings (one shared interner).
-      const size_t ls = static_cast<size_t>(atom.eq_slot[0]);
-      const size_t rs = static_cast<size_t>(atom.eq_slot[1]);
-      auto lid_of = [&](uint32_t row) {
-        return left.eq_ids_[row * left.eq_width_ + ls];
-      };
-      auto rid_of = [&](uint32_t row) {
-        return right.eq_ids_[row * right.eq_width_ + rs];
-      };
-      if (sparse) {
-        uint64_t result = 0;
-        uint64_t bits = eval;
-        while (bits != 0) {
-          const int i = std::countr_zero(bits);
-          bits &= bits - 1;
-          if (lid_of(lrow(i)) == rid_of(rrows[i])) result |= uint64_t{1} << i;
-        }
-        return result;
-      }
-      alignas(32) uint32_t rids[64];
-      for (uint32_t i = 0; i < count; ++i) rids[i] = rid_of(rrows[i]);
-      uint64_t mask;
-      if (is_strip) {
-        mask = simd::EqMaskU32(level, rids, lid_of(batch.left_row), count);
-      } else {
-        alignas(32) uint32_t lids[64];
-        for (uint32_t i = 0; i < count; ++i) lids[i] = lid_of(lrows[base + i]);
-        mask = simd::EqMaskU32(level, lids, rids, count);
-      }
-      count_simd();
-      return mask & eval;
-    }
-    case sim::SimOpKind::kLevenshtein: {
-      const size_t param = atom.info.param;
-      const uint32_t gap_limit =
-          param > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(param);
-      const uint32_t sig_limit =
-          param >= 32 ? 64 : static_cast<uint32_t>(2 * param);
-      auto llen_of = [&](uint32_t row) {
-        return left.lengths_[row * left.len_width_ +
-                             static_cast<size_t>(atom.len_slot[0])];
-      };
-      auto rlen_of = [&](uint32_t row) {
-        return right.lengths_[row * right.len_width_ +
-                              static_cast<size_t>(atom.len_slot[1])];
-      };
-      auto lsig_of = [&](uint32_t row) {
-        return left.sigs_[row * left.sig_width_ +
-                          static_cast<size_t>(atom.sig_slot[0])];
-      };
-      auto rsig_of = [&](uint32_t row) {
-        return right.sigs_[row * right.sig_width_ +
-                           static_cast<size_t>(atom.sig_slot[1])];
-      };
-      if (sparse) {
-        uint64_t result = 0;
-        uint64_t bits = eval;
-        bool prepared = false;
-        while (bits != 0) {
-          const int i = std::countr_zero(bits);
-          bits &= bits - 1;
-          const uint32_t lr = lrow(i);
-          const uint32_t rr = rrows[i];
-          const uint32_t ll = llen_of(lr);
-          const uint32_t rl = rlen_of(rr);
-          const uint32_t gap = ll > rl ? ll - rl : rl - ll;
-          if (gap > gap_limit) continue;
-          if (std::popcount(lsig_of(lr) ^ rsig_of(rr)) >
-              static_cast<int>(sig_limit)) {
-            continue;
-          }
-          const Tuple& lt = *left.tuples_[lr];
-          const Tuple& rt = *right.tuples_[rr];
-          const std::string& a = lt.value(atom.conjunct.attrs.left);
-          const std::string& b = rt.value(atom.conjunct.attrs.right);
-          if (a == b) {
-            result |= uint64_t{1} << i;
-            continue;
-          }
-          bool holds;
-          if (is_strip && a.size() <= 64) {
-            if (!prepared) {
-              scratch->Reset(a);
-              prepared = true;
-            }
-            holds = scratch->BoundedDistance(b, param) <= param;
-          } else {
-            holds = sim::LevenshteinDistanceBounded(a, b, param) <= param;
-          }
-          if (holds) result |= uint64_t{1} << i;
-        }
-        return result;
-      }
-      alignas(32) uint32_t rlen[64];
-      alignas(32) uint64_t rsig[64];
-      for (uint32_t i = 0; i < count; ++i) {
-        rlen[i] = rlen_of(rrows[i]);
-        rsig[i] = rsig_of(rrows[i]);
-      }
-      uint64_t pass;
-      if (is_strip) {
-        pass = simd::AbsDiffLeMaskU32(level, rlen, llen_of(batch.left_row),
-                                      gap_limit, count) &
-               simd::XorPopcountLeMaskU64(level, rsig, lsig_of(batch.left_row),
-                                          sig_limit, count);
-      } else {
-        alignas(32) uint32_t llen[64];
-        alignas(32) uint64_t lsig[64];
-        alignas(32) uint32_t gap_limits[64];
-        alignas(32) uint32_t sig_limits[64];
-        for (uint32_t i = 0; i < count; ++i) {
-          llen[i] = llen_of(lrows[base + i]);
-          lsig[i] = lsig_of(lrows[base + i]);
-          gap_limits[i] = gap_limit;
-          sig_limits[i] = sig_limit;
-        }
-        pass = simd::AbsDiffLeMaskU32(level, rlen, llen, gap_limits, count) &
-               simd::XorPopcountLeMaskU64(level, rsig, lsig, sig_limits,
-                                          count);
-      }
-      count_simd();
-      // Survivors take the exact bounded kernel; on strips the left
-      // pattern's Peq tables build once and scan every lane.
-      uint64_t result = 0;
-      uint64_t residual = eval & pass;
-      bool prepared = false;
-      while (residual != 0) {
-        const int i = std::countr_zero(residual);
-        residual &= residual - 1;
-        const Tuple& lt = *left.tuples_[lrow(i)];
-        const Tuple& rt = *right.tuples_[rrows[i]];
-        const std::string& a = lt.value(atom.conjunct.attrs.left);
-        const std::string& b = rt.value(atom.conjunct.attrs.right);
-        if (a == b) {
-          result |= uint64_t{1} << i;
-          continue;
-        }
-        bool holds;
-        if (is_strip && a.size() <= 64) {
-          if (!prepared) {
-            scratch->Reset(a);
-            prepared = true;
-          }
-          holds = scratch->BoundedDistance(b, param) <= param;
-        } else {
-          holds = sim::LevenshteinDistanceBounded(a, b, param) <= param;
-        }
-        if (holds) result |= uint64_t{1} << i;
-      }
-      return result;
-    }
-    case sim::SimOpKind::kDl: {
-      const double theta = atom.info.threshold;
-      auto llen_of = [&](uint32_t row) {
-        return left.lengths_[row * left.len_width_ +
-                             static_cast<size_t>(atom.len_slot[0])];
-      };
-      auto rlen_of = [&](uint32_t row) {
-        return right.lengths_[row * right.len_width_ +
-                              static_cast<size_t>(atom.len_slot[1])];
-      };
-      auto lsig_of = [&](uint32_t row) {
-        return left.sigs_[row * left.sig_width_ +
-                          static_cast<size_t>(atom.sig_slot[0])];
-      };
-      auto rsig_of = [&](uint32_t row) {
-        return right.sigs_[row * right.sig_width_ +
-                           static_cast<size_t>(atom.sig_slot[1])];
-      };
-      if (sparse) {
-        uint64_t result = 0;
-        uint64_t bits = eval;
-        bool prepared = false;
-        while (bits != 0) {
-          const int i = std::countr_zero(bits);
-          bits &= bits - 1;
-          const uint32_t lr = lrow(i);
-          const uint32_t rr = rrows[i];
-          const uint32_t ll = llen_of(lr);
-          const uint32_t rl = rlen_of(rr);
-          const size_t budget =
-              sim::DlEditBudget(theta, std::max<uint32_t>(ll, rl));
-          const uint32_t gap = ll > rl ? ll - rl : rl - ll;
-          if (gap > budget) continue;
-          if (budget < 32 &&
-              std::popcount(lsig_of(lr) ^ rsig_of(rr)) >
-                  static_cast<int>(2 * budget)) {
-            continue;
-          }
-          const Tuple& lt = *left.tuples_[lr];
-          const Tuple& rt = *right.tuples_[rr];
-          const std::string& a = lt.value(atom.conjunct.attrs.left);
-          const std::string& b = rt.value(atom.conjunct.attrs.right);
-          bool holds;
-          if (is_strip && a.size() <= 64) {
-            if (!prepared) {
-              scratch->Reset(a);
-              prepared = true;
-            }
-            holds = sim::DlSimilarPrepared(*scratch, a, b, theta);
-          } else {
-            holds = sim::DlSimilar(a, b, theta);
-          }
-          if (holds) result |= uint64_t{1} << i;
-        }
-        return result;
-      }
-      alignas(32) uint32_t rlen[64];
-      alignas(32) uint64_t rsig[64];
-      alignas(32) uint32_t llen[64];
-      alignas(32) uint64_t lsig[64];
-      alignas(32) uint32_t budgets[64];
-      alignas(32) uint32_t sig_limits[64];
-      for (uint32_t i = 0; i < count; ++i) {
-        rlen[i] = rlen_of(rrows[i]);
-        rsig[i] = rsig_of(rrows[i]);
-        const uint32_t ll = llen_of(lrow(i));
-        llen[i] = ll;
-        lsig[i] = lsig_of(lrow(i));
-        const size_t budget =
-            sim::DlEditBudget(theta, std::max<uint32_t>(ll, rlen[i]));
-        budgets[i] =
-            budget > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(budget);
-        sig_limits[i] = budget >= 32 ? 64 : static_cast<uint32_t>(2 * budget);
-      }
-      // gap > budget => DL > budget; popcount(sig xor) > 2*budget likewise
-      // (one DL edit flips at most two presence bits). Both only prove
-      // false where the exact test is false.
-      const uint64_t pass =
-          simd::AbsDiffLeMaskU32(level, rlen, llen, budgets, count) &
-          simd::XorPopcountLeMaskU64(level, rsig, lsig, sig_limits, count);
-      count_simd();
-      uint64_t result = 0;
-      uint64_t residual = eval & pass;
-      bool prepared = false;
-      while (residual != 0) {
-        const int i = std::countr_zero(residual);
-        residual &= residual - 1;
-        const Tuple& lt = *left.tuples_[lrow(i)];
-        const Tuple& rt = *right.tuples_[rrows[i]];
-        const std::string& a = lt.value(atom.conjunct.attrs.left);
-        const std::string& b = rt.value(atom.conjunct.attrs.right);
-        bool holds;
-        if (is_strip && a.size() <= 64) {
-          if (!prepared) {
-            scratch->Reset(a);
-            prepared = true;
-          }
-          holds = sim::DlSimilarPrepared(*scratch, a, b, theta);
-        } else {
-          holds = sim::DlSimilar(a, b, theta);
-        }
-        if (holds) result |= uint64_t{1} << i;
-      }
-      return result;
-    }
-    default: {
-      // Phonetic / q-gram / Jaro / prefix / custom atoms take the scalar
-      // kernel lane by lane (profiles still apply).
-      uint64_t result = 0;
-      uint64_t bits = eval;
-      while (bits != 0) {
-        const int i = std::countr_zero(bits);
-        bits &= bits - 1;
-        const uint32_t lr = lrow(i);
-        const uint32_t rr = rrows[i];
-        if (EvalAtom(atom, *left.tuples_[lr], *right.tuples_[rr],
-                     left.profiles_[lr], right.profiles_[rr])) {
-          result |= uint64_t{1} << i;
-        }
-      }
-      return result;
-    }
-  }
-}
-
-void CompiledEvaluator::MatchesBatch(const BatchColumns& left,
-                                     const BatchColumns& right,
-                                     const PairBatch& batch,
-                                     uint8_t* decisions,
-                                     BatchStats* stats) const {
-  assert(SupportsBatch());
-  if (stats != nullptr) ++stats->strips;
-  const bool rules_trivial =
-      mode_ == Mode::kRules && (always_match_ || num_rules_ == 0);
-  for (uint32_t base = 0; base < batch.size; base += 64) {
-    const uint32_t count = std::min<uint32_t>(64, batch.size - base);
-    const uint64_t active =
-        count == 64 ? ~uint64_t{0} : (uint64_t{1} << count) - 1;
-    if (stats != nullptr) {
-      stats->lanes += static_cast<uint64_t>(std::popcount(active));
-    }
-    if (rules_trivial) {
-      uint64_t bits = active;
-      while (bits != 0) {
-        const int i = std::countr_zero(bits);
-        bits &= bits - 1;
-        decisions[base + i] = always_match_ ? 1 : 0;
-      }
-      continue;
-    }
-    sim::MyersPattern scratch;
-    if (mode_ == Mode::kRules) {
-      // Transposed rule state: per RULE, the mask of lanes for which every
-      // atom of the rule seen so far held (rule_ok). A lane matches once
-      // the rule's last atom (in evaluation order) is reached with the
-      // lane still in rule_ok — the same condition as MatchesRules'
-      // pending count hitting zero — and fails once it drops out of every
-      // rule. Bookkeeping is O(rules-per-atom) mask ops per atom instead
-      // of per-lane scans; the atoms evaluated per lane are exactly the
-      // scalar path's (eval = undecided lanes with the atom in some
-      // still-alive rule).
-      uint64_t rule_ok[64];
-      for (size_t r = 0; r < num_rules_; ++r) rule_ok[r] = active;
-      uint64_t bits = active;
-      while (bits != 0) {
-        const int i = std::countr_zero(bits);
-        bits &= bits - 1;
-        decisions[base + i] = 0;
-      }
-      uint64_t undecided = active;
-      for (size_t ai = 0; ai < atoms_.size() && undecided != 0; ++ai) {
-        const Atom& atom = atoms_[ai];
-        uint64_t possible = 0;
-        uint64_t rules = atom.rules;
-        while (rules != 0) {
-          const int r = std::countr_zero(rules);
-          rules &= rules - 1;
-          possible |= rule_ok[r];
-        }
-        const uint64_t eval = undecided & possible;
-        if (eval == 0) continue;
-        const uint64_t holds =
-            EvalAtomChunk(atom, left, right, batch, base, count, eval,
-                          &scratch, stats);
-        const uint64_t kill = eval & ~holds;
-        uint64_t satisfied = 0;
-        rules = atom.rules;
-        while (rules != 0) {
-          const int r = std::countr_zero(rules);
-          rules &= rules - 1;
-          rule_ok[r] &= ~kill;
-          if (rule_last_atom_[r] == ai) satisfied |= rule_ok[r];
-        }
-        uint64_t won = satisfied & undecided;
-        if (won != 0) {
-          undecided &= ~won;
-          while (won != 0) {
-            const int i = std::countr_zero(won);
-            won &= won - 1;
-            decisions[base + i] = 1;
-          }
-        }
-        if (kill != 0) {
-          uint64_t any = 0;
-          for (size_t r = 0; r < num_rules_; ++r) any |= rule_ok[r];
-          undecided &= any;
-        }
-      }
-      // Lanes still undecided exhausted the atom table without
-      // satisfying a rule; their 0 is already written.
-    } else {
-      // FS: per-lane agreement pattern with exactly MatchesFs' bound
-      // checks after each atom, in the same atom and element order. The
-      // unknown mask evolves identically on every lane (the &= ~fs_bits
-      // update does not depend on the atom's outcome, and applying it
-      // when the intersection is empty is a no-op), so it is hoisted out
-      // of the lanes, atoms are skipped all-or-nothing, and the two bound
-      // scores are pure functions of the lane's agree pattern — memoized
-      // per atom step, since most lanes of a chunk share few distinct
-      // patterns. Memoization returns the identical double for an
-      // identical pattern, so decisions stay exactly MatchesFs'.
-      uint32_t agree[64];
-      const uint32_t full = fs_width_ >= 32 ? ~uint32_t{0}
-                                            : (uint32_t{1} << fs_width_) - 1;
-      uint64_t bits = active;
-      while (bits != 0) {
-        const int i = std::countr_zero(bits);
-        bits &= bits - 1;
-        agree[i] = 0;
-      }
-      uint32_t unknown = full;
-      uint64_t undecided = active;
-      for (size_t ai = 0; ai < atoms_.size() && undecided != 0; ++ai) {
-        const Atom& atom = atoms_[ai];
-        if ((unknown & atom.fs_bits) == 0) continue;
-        const uint64_t eval = undecided;
-        const uint64_t holds =
-            EvalAtomChunk(atom, left, right, batch, base, count, eval,
-                          &scratch, stats);
-        unknown &= ~atom.fs_bits;
-        const uint32_t up_mask = unknown & agree_minimizes_;
-        const uint32_t lo_mask = unknown & ~agree_minimizes_;
-        uint32_t memo_pattern[8];
-        double memo_up[8];
-        double memo_lo[8];
-        int memo_size = 0;
-        uint64_t lanes = eval;
-        while (lanes != 0) {
-          const int i = std::countr_zero(lanes);
-          lanes &= lanes - 1;
-          const uint64_t lane_bit = uint64_t{1} << i;
-          if ((holds & lane_bit) != 0) agree[i] |= atom.fs_bits;
-          const uint32_t pattern = agree[i];
-          double up;
-          double lo;
-          int m = 0;
-          while (m < memo_size && memo_pattern[m] != pattern) ++m;
-          if (m < memo_size) {
-            up = memo_up[m];
-            lo = memo_lo[m];
-          } else {
-            up = ScorePattern(pattern | up_mask);
-            lo = ScorePattern(pattern | lo_mask);
-            if (memo_size < 8) {
-              memo_pattern[memo_size] = pattern;
-              memo_up[memo_size] = up;
-              memo_lo[memo_size] = lo;
-              ++memo_size;
-            }
-          }
-          if (up >= threshold_) {
-            decisions[base + i] = 1;
-            undecided &= ~lane_bit;
-          } else if (lo < threshold_) {
-            decisions[base + i] = 0;
-            undecided &= ~lane_bit;
-          }
-        }
-      }
-      uint64_t leftover = undecided;
-      while (leftover != 0) {
-        const int i = std::countr_zero(leftover);
-        leftover &= leftover - 1;
-        decisions[base + i] = ScorePattern(agree[i]) >= threshold_ ? 1 : 0;
-      }
-    }
-  }
 }
 
 }  // namespace mdmatch::match

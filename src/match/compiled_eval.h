@@ -3,17 +3,13 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "match/comparison.h"
 #include "match/fellegi_sunter.h"
 #include "schema/instance.h"
 #include "schema/tuple.h"
-#include "sim/edit_distance.h"
 #include "sim/sim_op.h"
-#include "util/arena.h"
 
 namespace mdmatch::match {
 
@@ -31,75 +27,6 @@ struct RecordProfile {
   /// presence bits, so popcount(sig_a XOR sig_b) > 2*budget proves the
   /// distance exceeds the budget without touching the strings.
   std::vector<uint64_t> signatures;
-};
-
-/// \brief Interns attribute values to dense ids for batch equality atoms.
-///
-/// Both sides of a match job share one interner, so two values carry the
-/// same id iff the strings are equal — interned-id comparison is exact
-/// string equality, which is what lets the batch path test equality atoms
-/// as a SIMD compare over u32 columns. Views handed to Intern must
-/// outlive the interner (batch columns reference corpus-owned tuples).
-class ValueInterner {
- public:
-  uint32_t Intern(std::string_view value) {
-    auto [it, inserted] =
-        ids_.try_emplace(value, static_cast<uint32_t>(ids_.size()));
-    return it->second;
-  }
-  size_t size() const { return ids_.size(); }
-
- private:
-  std::unordered_map<std::string_view, uint32_t> ids_;
-};
-
-/// \brief One unit of batched pair evaluation.
-///
-/// Two forms share the struct: a *strip* (left_rows == nullptr) pairs the
-/// single row `left_row` with `size` right rows — the windowing shape,
-/// where SIMD kernels broadcast the left value; *mixed pairs*
-/// (left_rows != nullptr) carry both row arrays, the shape blocking and
-/// leftover singleton pairs produce. Row indices address BatchColumns.
-struct PairBatch {
-  const uint32_t* left_rows = nullptr;  ///< null => strip form
-  uint32_t left_row = 0;                ///< strip form's shared left row
-  const uint32_t* right_rows = nullptr;
-  uint32_t size = 0;
-};
-
-/// Counters the batch path accumulates for ExecutionReport / IngestReport.
-struct BatchStats {
-  uint64_t strips = 0;  ///< batches evaluated (strip or mixed)
-  uint64_t lanes = 0;   ///< pairs routed through MatchesBatch
-  uint64_t simd_lanes_evaluated = 0;  ///< lanes whose atom ran a SIMD kernel
-};
-
-/// \brief Columnar (SoA) view of one side's records for batch evaluation.
-///
-/// Built by CompiledEvaluator::MakeBatchColumns into an Arena and filled
-/// row by row with FillBatchRow; layout (which equality/length/signature
-/// slots exist) is owned by the evaluator that made it, like
-/// RecordProfile. Storage is row-major: slot s of row r lives at
-/// [r * width + s], so one strip lane's slots for every atom share a
-/// cache line or two — batch evaluation re-reads the same rows once per
-/// atom, and row-major keeps those re-reads hot on corpora whose columns
-/// outgrow the cache.
-class BatchColumns {
- public:
-  size_t rows() const { return rows_; }
-
- private:
-  friend class CompiledEvaluator;
-  const Tuple** tuples_ = nullptr;            ///< [rows]
-  const RecordProfile** profiles_ = nullptr;  ///< [rows], entries may be null
-  uint32_t* eq_ids_ = nullptr;    ///< [eq_width * rows] interned value ids
-  uint32_t* lengths_ = nullptr;   ///< [len_width * rows] value lengths
-  uint64_t* sigs_ = nullptr;      ///< [sig_width * rows] presence signatures
-  size_t rows_ = 0;
-  size_t eq_width_ = 0;
-  size_t len_width_ = 0;
-  size_t sig_width_ = 0;
-  int side_ = 0;
 };
 
 /// \brief The compiled per-pair decision kernel of a MatchPlan.
@@ -173,56 +100,6 @@ class CompiledEvaluator {
                const RecordProfile* left_profile,
                const RecordProfile* right_profile) const;
 
-  /// True when MatchesBatch supports this evaluator: FS mode always, rule
-  /// mode when the rule set compiled into masks (<= 64 rules, no
-  /// fallback) and the atom table fits the per-lane atom-index mask.
-  /// kNone never (an empty evaluator has no batch path to take).
-  bool SupportsBatch() const {
-    switch (mode_) {
-      case Mode::kNone:
-        return false;
-      case Mode::kRules:
-        return fallback_rules_.empty() && atoms_.size() <= 64;
-      case Mode::kFs:
-        return true;
-    }
-    return false;
-  }
-
-  /// True when the batch path is expected to beat the scalar one: every
-  /// atom must be an equality, so the whole evaluation runs on interned
-  /// value ids and SIMD lane masks with no per-lane string residual.
-  /// Edit-distance-heavy bases spend their time in the exact bounded
-  /// kernels either way, and the scalar path's per-pair ordering plus
-  /// profile gates already serve those better on large corpora (measured
-  /// in BENCH_pairs.json) — executor and session consult this and leave
-  /// such plans on the scalar path.
-  bool BatchProfitable() const;
-
-  /// Allocates a BatchColumns for `rows` records of `side` (0 = left,
-  /// 1 = right) out of `arena`. Rows start unfilled; fill each row the
-  /// batch will touch with FillBatchRow before evaluating.
-  BatchColumns MakeBatchColumns(int side, size_t rows,
-                                util::Arena* arena) const;
-
-  /// Fills row `row` of `cols` from `tuple` (+ optional precomputed
-  /// profile; pass null to derive signatures on the fly). `interner` must
-  /// be the one shared interner of the whole batch job — both sides.
-  void FillBatchRow(BatchColumns* cols, uint32_t row, const Tuple& tuple,
-                    const RecordProfile* profile,
-                    ValueInterner* interner) const;
-
-  /// \brief Batched Matches over one PairBatch.
-  ///
-  /// Writes decisions[i] = 1/0 for lane i of `batch`. Decisions are
-  /// bit-identical to Matches on the same (tuple, profile)
-  /// inputs — the strip layout, SIMD kernels and prefilters change cost,
-  /// never bits. Requires SupportsBatch(). Const and thread-safe; stats
-  /// may be null.
-  void MatchesBatch(const BatchColumns& left, const BatchColumns& right,
-                    const PairBatch& batch, uint8_t* decisions,
-                    BatchStats* stats) const;
-
   /// Unique atoms in the table (0 for an empty evaluator).
   size_t atom_count() const { return atoms_.size(); }
   /// Total conjunct occurrences the atoms were deduplicated from.
@@ -242,8 +119,6 @@ class CompiledEvaluator {
     int code_slot[2] = {-1, -1};  ///< phonetic profile slots per side
     int gram_slot[2] = {-1, -1};  ///< q-gram profile slots per side
     int sig_slot[2] = {-1, -1};   ///< presence-signature slots per side
-    int eq_slot[2] = {-1, -1};    ///< interned-id column slots per side
-    int len_slot[2] = {-1, -1};   ///< value-length column slots per side
   };
 
   /// What one profile slot stores: the value of `attr` under `kind`.
@@ -258,10 +133,6 @@ class CompiledEvaluator {
                    const sim::SimOpRegistry& ops);
   void AssignProfileSlots();
   void SortAtoms();
-  /// Rule mode: rebuilds rule_atom_masks_ (per rule, the mask of atom
-  /// *indices* in current evaluation order that the rule needs). Must run
-  /// after any atom reorder — compile and SeedSelectivity both call it.
-  void ComputeRuleAtomMasks();
 
   bool EvalAtom(const Atom& atom, const Tuple& left, const Tuple& right,
                 const RecordProfile* left_profile,
@@ -283,26 +154,9 @@ class CompiledEvaluator {
   std::vector<Atom> atoms_;  ///< in evaluation order
   size_t conjunct_count_ = 0;
 
-  /// One atom evaluated across the active lanes of one <= 64-lane chunk;
-  /// returns the lane mask where the atom holds. Only `eval` bits are
-  /// meaningful in the result.
-  uint64_t EvalAtomChunk(const Atom& atom, const BatchColumns& left,
-                         const BatchColumns& right, const PairBatch& batch,
-                         uint32_t base, uint32_t count, uint64_t eval,
-                         sim::MyersPattern* scratch,
-                         BatchStats* stats) const;
-
   // Rule mode.
   size_t num_rules_ = 0;
   std::vector<uint16_t> rule_sizes_;  ///< atoms per rule (pending counts)
-  /// Per rule, the atom-index mask the batch path tests satisfaction
-  /// against; valid only when SupportsBatch() (atom count <= 64).
-  std::vector<uint64_t> rule_atom_masks_;
-  /// Per rule, the highest atom index the rule needs (the evaluation step
-  /// at which the rule can complete); UINT32_MAX for empty rules, which
-  /// the batch path never completes (always_match_ short-circuits first).
-  std::vector<uint32_t> rule_last_atom_;
-  uint64_t all_rules_mask_ = 0;  ///< low num_rules_ bits set
   bool always_match_ = false;         ///< some rule has no conjuncts
   /// Rule masks are one machine word; the (absurd) >64-rule case keeps the
   /// rules verbatim and evaluates them naively.
@@ -319,11 +173,6 @@ class CompiledEvaluator {
   std::vector<SlotSpec> code_slots_[2];
   std::vector<AttrId> gram_slots_[2];
   std::vector<AttrId> sig_slots_[2];
-
-  // Batch column layouts, per side (slot s stores the attribute's
-  // interned id / length in BatchColumns column s).
-  std::vector<AttrId> eq_slots_[2];
-  std::vector<AttrId> len_slots_[2];
 };
 
 }  // namespace mdmatch::match

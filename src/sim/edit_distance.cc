@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -273,79 +272,6 @@ size_t DamerauLevenshteinDistanceBounded(std::string_view a,
     da_row[c] = i;
   }
   return std::min(at(n + 1, m + 1), max_dist + 1);
-}
-
-void MyersPattern::Reset(std::string_view pattern) {
-  // 64 chars is the word-parallel limit; callers dispatch longer lefts to
-  // the unprepared kernels.
-  assert(pattern.size() <= 64);
-  m_ = pattern.size() <= 64 ? pattern.size() : 0;
-  ++generation_;
-  for (size_t i = 0; i < m_; ++i) {
-    const auto c = static_cast<unsigned char>(pattern[i]);
-    if (stamp_[c] != generation_) {
-      stamp_[c] = generation_;
-      peq_[c] = 0;
-    }
-    peq_[c] |= uint64_t{1} << i;
-  }
-}
-
-size_t MyersPattern::BoundedDistance(std::string_view text,
-                                     size_t max_dist) const {
-  const size_t n = text.size();
-  const size_t gap = m_ > n ? m_ - n : n - m_;
-  if (gap > max_dist) return max_dist + 1;
-  if (m_ == 0 || n == 0) return gap;  // <= max_dist here
-  // The MyersCore scan, reading the prepared tables. Myers' recurrence is
-  // exact for any pattern length <= 64 regardless of which string is
-  // longer, and the early-abandon bound (score falls at most 1 per
-  // remaining text char) holds the same way — so this returns the same
-  // value as LevenshteinDistanceBounded even though that function always
-  // scans with the shorter string as the pattern.
-  const uint64_t high = uint64_t{1} << (m_ - 1);
-  uint64_t pv = ~uint64_t{0};
-  uint64_t mv = 0;
-  size_t score = m_;
-  for (size_t j = 0; j < n; ++j) {
-    const auto c = static_cast<unsigned char>(text[j]);
-    const uint64_t eq = stamp_[c] == generation_ ? peq_[c] : 0;
-    const uint64_t xv = eq | mv;
-    const uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
-    uint64_t ph = mv | ~(xh | pv);
-    uint64_t mh = pv & xh;
-    if (ph & high) {
-      ++score;
-    } else if (mh & high) {
-      --score;
-    }
-    ph = (ph << 1) | 1;
-    mh <<= 1;
-    pv = mh | ~(xv | ph);
-    mv = ph & xv;
-    if (score > max_dist && score - max_dist > n - j - 1) {
-      return max_dist + 1;
-    }
-  }
-  return std::min(score, max_dist + 1);
-}
-
-bool DlSimilarPrepared(const MyersPattern& pattern, std::string_view a,
-                       std::string_view b, double theta) {
-  // Mirrors DlSimilar step for step; only the bounded-Levenshtein probe
-  // reads the prepared tables (when the left fits the word-parallel
-  // kernel — the caller prepared `pattern` from `a` exactly then).
-  if (a == b) return true;
-  const size_t budget = DlEditBudget(theta, std::max(a.size(), b.size()));
-  size_t gap = a.size() > b.size() ? a.size() - b.size() : b.size() - a.size();
-  if (gap > budget) return false;
-  if (budget == 0) return false;
-  const size_t lev = a.size() <= 64
-                         ? pattern.BoundedDistance(b, 2 * budget + 1)
-                         : LevenshteinDistanceBounded(a, b, 2 * budget + 1);
-  if (lev <= budget) return true;
-  if (lev > 2 * budget + 1) return false;
-  return DamerauLevenshteinDistanceBounded(a, b, budget) <= budget;
 }
 
 double NormalizedDamerauLevenshtein(std::string_view a, std::string_view b) {

@@ -2,7 +2,6 @@
 #define MDMATCH_SIM_EDIT_DISTANCE_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string_view>
 
 namespace mdmatch::sim {
@@ -63,46 +62,6 @@ size_t DlEditBudget(double theta, size_t longest);
 /// The paper's thresholded DL predicate: v ~theta v' iff
 /// DL(v, v') <= (1 - theta) * max(|v|, |v'|). Section 6 fixes theta = 0.8.
 bool DlSimilar(std::string_view a, std::string_view b, double theta);
-
-/// \brief One Myers pattern, prepared once and scanned against many texts.
-///
-/// The batch evaluator's strips compare one left record against a run of
-/// right records; LevenshteinDistanceBounded would rebuild the pattern's
-/// per-character position masks (Peq) for every pair. This class builds
-/// them once per (strip, atom) and reuses them across the whole strip.
-/// The tables are generation-stamped like MyersCore's thread-locals, so
-/// Reset costs O(pattern) instead of a 2KB clear.
-///
-/// BoundedDistance returns exactly what LevenshteinDistanceBounded
-/// returns on (pattern, text): the exact distance when it is <= max_dist,
-/// max_dist + 1 otherwise — bit-identical decisions, whichever string was
-/// chosen as the pattern.
-class MyersPattern {
- public:
-  /// Starts empty (pattern ""); Reset installs a real pattern.
-  MyersPattern() = default;
-
-  /// Installs `pattern`; requires pattern.size() <= 64.
-  void Reset(std::string_view pattern);
-
-  size_t size() const { return m_; }
-
-  /// Bounded Levenshtein distance of the prepared pattern against `text`.
-  size_t BoundedDistance(std::string_view text, size_t max_dist) const;
-
- private:
-  uint64_t peq_[256] = {};
-  uint64_t stamp_[256] = {};
-  uint64_t generation_ = 0;
-  size_t m_ = 0;
-};
-
-/// DlSimilar with the left string prepared as a MyersPattern: `pattern`
-/// must hold `a` (when |a| <= 64; longer lefts take the unprepared
-/// kernel internally). Decisions are bit-identical to DlSimilar(a, b,
-/// theta).
-bool DlSimilarPrepared(const MyersPattern& pattern, std::string_view a,
-                       std::string_view b, double theta);
 
 }  // namespace mdmatch::sim
 

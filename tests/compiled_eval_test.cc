@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -244,6 +245,27 @@ class CompiledEquivalenceTest : public testing::Test {
         .Build();
   }
 
+  /// A rule plan whose basis is all `=`: the deduced rules with every
+  /// conjunct op replaced by `=` (the paper's strict key matching).
+  Result<api::PlanPtr> BuildEqPlan() {
+    auto base = BuildPlan(api::PlanOptions{});
+    if (!base.ok()) return base.status();
+    std::vector<MatchRule> eq_rules;
+    for (const MatchRule& rule : (*base)->rules()) {
+      std::vector<Conjunct> elems;
+      for (const Conjunct& c : rule.elements()) {
+        elems.push_back(Conjunct{c.attrs, sim::SimOpRegistry::kEq});
+      }
+      eq_rules.push_back(RelativeKey(std::move(elems)));
+    }
+    return api::PlanBuilder(data_.pair, data_.target, &ops_)
+        .WithSigma(data_.mds)
+        .WithOptions(api::PlanOptions{})
+        .WithTrainingInstance(&data_.instance)
+        .WithRules(std::move(eq_rules))
+        .Build();
+  }
+
   /// Naive decision: exactly what MatchesPair computed before the
   /// compiled engine existed.
   bool Naive(const api::MatchPlan& plan, const Tuple& l, const Tuple& r) {
@@ -258,7 +280,8 @@ class CompiledEquivalenceTest : public testing::Test {
 };
 
 // Compiled vs naive on ~10k random noisy pairs (plus every candidate pair
-// the plan itself generates), across matcher x candidate configurations.
+// the plan itself generates), across matcher x candidate configurations
+// and the all-`=` rule basis.
 TEST_F(CompiledEquivalenceTest, CompiledAgreesWithNaiveOnRandomPairs) {
   std::vector<api::PlanOptions> configs(4);
   configs[0].matcher = api::PlanOptions::Matcher::kRuleBased;
@@ -269,13 +292,20 @@ TEST_F(CompiledEquivalenceTest, CompiledAgreesWithNaiveOnRandomPairs) {
   configs[2].candidates = api::PlanOptions::Candidates::kWindowing;
   configs[3].matcher = api::PlanOptions::Matcher::kFellegiSunter;
   configs[3].candidates = api::PlanOptions::Candidates::kBlocking;
-
-  const Relation& left = data_.instance.left();
-  const Relation& right = data_.instance.right();
+  std::vector<api::PlanPtr> plans;
   for (const api::PlanOptions& options : configs) {
     auto plan = BuildPlan(options);
     ASSERT_TRUE(plan.ok()) << plan.status();
-    const api::MatchPlan& p = **plan;
+    plans.push_back(*plan);
+  }
+  auto eq_plan = BuildEqPlan();
+  ASSERT_TRUE(eq_plan.ok()) << eq_plan.status();
+  plans.push_back(*eq_plan);
+
+  const Relation& left = data_.instance.left();
+  const Relation& right = data_.instance.right();
+  for (const api::PlanPtr& plan : plans) {
+    const api::MatchPlan& p = *plan;
 
     Rng rng(1234);
     size_t matches = 0;
@@ -291,7 +321,7 @@ TEST_F(CompiledEquivalenceTest, CompiledAgreesWithNaiveOnRandomPairs) {
     // exercised both outcomes for the comparison to mean anything.
     EXPECT_GT(matches, 0u);
 
-    api::Executor executor(*plan);
+    api::Executor executor(plan);
     auto report = executor.Run(data_.instance);
     ASSERT_TRUE(report.ok());
     for (const auto& [li, ri] : report->candidates.pairs()) {

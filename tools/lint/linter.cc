@@ -520,7 +520,7 @@ void CheckHotLoopAlloc(const Ctx& ctx) {
         ctx.Report(i + 1, "hot-loop-alloc",
                    std::string(container) +
                        " constructed inside a hot loop: hoist it out of "
-                       "the loop or carve from util::Arena");
+                       "the loop");
         flagged = true;
       }
       if (flagged) break;

@@ -30,7 +30,7 @@
 //   hot-loop-alloc   No per-iteration container construction
 //                    (std::vector, std::string, maps/sets) inside loop
 //                    bodies in src/match/ and src/sim/ — the per-pair
-//                    layers hoist scratch or carve from util::Arena.
+//                    layers hoist scratch out of the loop.
 //                    References, pointers, nested names and statics are
 //                    exempt; deliberate cold paths carry an allow marker.
 //

@@ -79,7 +79,9 @@ void PrintUsage(FILE* out) {
       "  --top-k N                        RCKs used for rules (default 5)\n"
       "  --window N                       window size (default 10)\n"
       "  --theta F                        match-time similarity threshold\n"
-      "                                   (default 0.8; 0 = strict equality)\n"
+      "                                   (default 0.8; 0 = no relaxation:\n"
+      "                                   `=` stays exact, and similarity\n"
+      "                                   conjuncts from sigma stay)\n"
       "  --closure                        close matches transitively\n"
       "  --out FILE                       plan file (default <dir>/plan.mdp)\n"
       "\n"
@@ -101,9 +103,8 @@ void PrintUsage(FILE* out) {
       "  --stats                          print per-flush phase timings\n"
       "                                   (index merge, candidate scan,\n"
       "                                   pair eval, drift re-rank,\n"
-      "                                   publish), staging queue depth,\n"
-      "                                   coalesced deltas and batch-eval\n"
-      "                                   counters\n"
+      "                                   publish), staging queue depth\n"
+      "                                   and coalesced deltas\n"
       "  --async                          ingest through a background\n"
       "                                   stream::IngestDriver: ops stage\n"
       "                                   into a bounded queue, a flusher\n"
@@ -609,9 +610,6 @@ int CmdStream(const Args& args) {
                 report.publish_bytes_copied);
     std::printf("  staging: %zu deltas coalesced, queue depth %zu\n",
                 report.coalesced_deltas, report.queue_depth);
-    std::printf("  batch: %zu strips, %zu simd lanes, %zu arena bytes\n",
-                report.strips, report.simd_lanes_evaluated,
-                report.arena_bytes);
   };
 
   auto do_upsert = [&](int side, Tuple tuple) {
