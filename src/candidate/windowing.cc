@@ -28,6 +28,25 @@ void EmitWindows(const std::vector<uint32_t>& perm, size_t left_size,
   }
 }
 
+/// The number of pairs EmitWindows emits for `perm`, duplicates included:
+/// for each entry, the opposite-side entries among the next
+/// `window_size - 1`, read off a running count of right-side entries.
+size_t CountWindowPairs(const std::vector<uint32_t>& perm, size_t left_size,
+                        size_t window_size) {
+  const size_t n = perm.size();
+  std::vector<uint32_t> rights_before(n + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    rights_before[i + 1] = rights_before[i] + (perm[i] >= left_size ? 1 : 0);
+  }
+  size_t count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t hi = std::min(n, i + window_size);
+    const size_t rights = rights_before[hi] - rights_before[i + 1];
+    count += perm[i] >= left_size ? (hi - i - 1) - rights : rights;
+  }
+  return count;
+}
+
 }  // namespace
 
 RenderedKeys RenderPassKeys(const Instance& instance,
@@ -75,9 +94,18 @@ match::CandidateSet WindowCandidatesMultiPass(
   match::CandidateSet out;
   if (window_size < 2 || keys.empty()) return out;
   const RenderedKeys rendered = RenderPassKeys(instance, keys);
+  // Every pass is sorted before any is emitted, so the set is sized once
+  // for all the pairs the passes emit instead of rehashing as it grows.
+  std::vector<std::vector<uint32_t>> perms;
+  perms.reserve(rendered.keys.size());
+  size_t emitted = 0;
   for (const auto& column : rendered.keys) {
-    EmitWindows(SortedKeyPermutation(column), rendered.left_size, window_size,
-                &out);
+    perms.push_back(SortedKeyPermutation(column));
+    emitted += CountWindowPairs(perms.back(), rendered.left_size, window_size);
+  }
+  out.Reserve(emitted);
+  for (const auto& perm : perms) {
+    EmitWindows(perm, rendered.left_size, window_size, &out);
   }
   return out;
 }

@@ -62,15 +62,6 @@ std::string PhoneticCode(sim::SimOpKind kind, std::string_view value) {
                                           : sim::Nysiis(value);
 }
 
-/// Character-presence signature: bit (c & 63) per character. Folding
-/// classes together only weakens the filter, never the bound — an edit
-/// still flips at most two (folded) presence bits.
-uint64_t PresenceSignature(std::string_view value) {
-  uint64_t sig = 0;
-  for (unsigned char c : value) sig |= uint64_t{1} << (c & 63);
-  return sig;
-}
-
 }  // namespace
 
 int CompiledEvaluator::CostRank(const sim::SimOpInfo& info) {
@@ -297,7 +288,7 @@ RecordProfile CompiledEvaluator::ProfileRecord(const Tuple& tuple,
   }
   profile.signatures.reserve(sig_slots_[side].size());
   for (AttrId attr : sig_slots_[side]) {
-    profile.signatures.push_back(PresenceSignature(tuple.value(attr)));
+    profile.signatures.push_back(sim::MakeEditSignature(tuple.value(attr)));
   }
   return profile;
 }
@@ -306,6 +297,21 @@ bool CompiledEvaluator::EvalAtom(const Atom& atom, const Tuple& left,
                                  const Tuple& right,
                                  const RecordProfile* left_profile,
                                  const RecordProfile* right_profile) const {
+  // Edit-distance atoms consult the profiles before the tuples: the stored
+  // lengths give the budget and the signature bound rejects most pairs
+  // without reading either string. Equal values have bound 0, so every
+  // pair the a == b short-circuit below accepts gets past this check.
+  if (atom.sig_slot[0] >= 0 && left_profile != nullptr &&
+      right_profile != nullptr) {
+    const sim::EditSignature& sa = left_profile->signatures[atom.sig_slot[0]];
+    const sim::EditSignature& sb = right_profile->signatures[atom.sig_slot[1]];
+    const size_t budget =
+        atom.info.kind == sim::SimOpKind::kDl
+            ? sim::DlEditBudget(atom.info.threshold,
+                                std::max(sa.length, sb.length))
+            : atom.info.param;
+    if (sim::EditDistanceLowerBound(sa, sb) > budget) return false;
+  }
   const std::string& a = left.value(atom.conjunct.attrs.left);
   const std::string& b = right.value(atom.conjunct.attrs.right);
   if (atom.info.kind == sim::SimOpKind::kEquality) return a == b;
@@ -313,32 +319,11 @@ bool CompiledEvaluator::EvalAtom(const Atom& atom, const Tuple& left,
   // (the subsumption axiom); mirror that here.
   if (a == b) return true;
   switch (atom.info.kind) {
-    case sim::SimOpKind::kDl: {
-      if (left_profile != nullptr && right_profile != nullptr) {
-        const uint64_t differing =
-            left_profile->signatures[atom.sig_slot[0]] ^
-            right_profile->signatures[atom.sig_slot[1]];
-        const size_t budget = sim::DlEditBudget(atom.info.threshold,
-                                                std::max(a.size(), b.size()));
-        if (static_cast<size_t>(std::popcount(differing)) > 2 * budget) {
-          return false;  // dist >= popcount/2 > budget
-        }
-      }
+    case sim::SimOpKind::kDl:
       return sim::DlSimilar(a, b, atom.info.threshold);
-    }
-    case sim::SimOpKind::kLevenshtein: {
-      if (left_profile != nullptr && right_profile != nullptr) {
-        const uint64_t differing =
-            left_profile->signatures[atom.sig_slot[0]] ^
-            right_profile->signatures[atom.sig_slot[1]];
-        if (static_cast<size_t>(std::popcount(differing)) >
-            2 * atom.info.param) {
-          return false;
-        }
-      }
+    case sim::SimOpKind::kLevenshtein:
       return sim::LevenshteinDistanceBounded(a, b, atom.info.param) <=
              atom.info.param;
-    }
     case sim::SimOpKind::kJaro:
       return sim::JaroSimilarity(a, b) >= atom.info.threshold;
     case sim::SimOpKind::kJaroWinkler:

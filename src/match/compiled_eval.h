@@ -9,24 +9,25 @@
 #include "match/fellegi_sunter.h"
 #include "schema/instance.h"
 #include "schema/tuple.h"
+#include "sim/edit_distance.h"
 #include "sim/sim_op.h"
 
 namespace mdmatch::match {
 
 /// Per-record derived values for the atoms that benefit from them:
-/// phonetic codes and q-gram sets are functions of one attribute value, so
-/// they are computed once per record (columnar, per side) instead of once
-/// per candidate pair. Slot layout is owned by the CompiledEvaluator that
-/// produced the profile; profiles from one evaluator must not be fed to
-/// another.
+/// phonetic codes, q-gram sets and edit signatures are functions of one
+/// attribute value, so they are computed once per record (columnar, per
+/// side) instead of once per candidate pair. Slot layout is owned by the
+/// CompiledEvaluator that produced the profile; profiles from one
+/// evaluator must not be fed to another.
 struct RecordProfile {
   std::vector<std::string> codes;            ///< phonetic code slots
   std::vector<std::vector<uint16_t>> grams;  ///< sorted unique 2-gram slots
-  /// Character-presence signatures (one bit per folded character class)
-  /// for edit-distance atoms: one unit-cost edit flips at most two
-  /// presence bits, so popcount(sig_a XOR sig_b) > 2*budget proves the
-  /// distance exceeds the budget without touching the strings.
-  std::vector<uint64_t> signatures;
+  /// One sim::EditSignature per edit-distance (θ-DL, Levenshtein) slot:
+  /// the value's length gives the θ-DL budget, and
+  /// sim::EditDistanceLowerBound rejects a pair whose bound exceeds it
+  /// before either string is read.
+  std::vector<sim::EditSignature> signatures;
 };
 
 /// \brief The compiled per-pair decision kernel of a MatchPlan.
@@ -79,8 +80,9 @@ class CompiledEvaluator {
                        uint64_t seed);
 
   /// True when some atom has per-record derived values worth precomputing
-  /// (phonetic codes, q-gram sets). When false, ProfileRecord returns an
-  /// empty profile and passing profiles is pointless.
+  /// (phonetic codes, q-gram sets, edit signatures). When false,
+  /// ProfileRecord returns an empty profile and passing profiles is
+  /// pointless.
   bool needs_profiles() const {
     return !code_slots_[0].empty() || !code_slots_[1].empty() ||
            !gram_slots_[0].empty() || !gram_slots_[1].empty() ||
@@ -118,7 +120,7 @@ class CompiledEvaluator {
     uint32_t fs_bits = 0;     ///< FS mode: vector positions this atom fills
     int code_slot[2] = {-1, -1};  ///< phonetic profile slots per side
     int gram_slot[2] = {-1, -1};  ///< q-gram profile slots per side
-    int sig_slot[2] = {-1, -1};   ///< presence-signature slots per side
+    int sig_slot[2] = {-1, -1};   ///< edit-signature slots per side
   };
 
   /// What one profile slot stores: the value of `attr` under `kind`.

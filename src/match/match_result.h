@@ -38,6 +38,10 @@ class PairSet {
   /// Inserts every pair of `other`.
   void Merge(const PairSet& other);
 
+  /// Makes room for `n` pairs, so adding up to `n` never rehashes or
+  /// reallocates.
+  void Reserve(size_t n);
+
  private:
   static uint64_t Key(uint32_t l, uint32_t r) { return PairKey(l, r); }
   std::unordered_set<uint64_t> index_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -287,6 +288,36 @@ size_t DlEditBudget(double theta, size_t longest) {
   // 0.9999999999999998.
   return static_cast<size_t>((1.0 - theta) * static_cast<double>(longest) +
                              1e-9);  // floor: dist is integral
+}
+
+EditSignature MakeEditSignature(std::string_view s) {
+  EditSignature sig;
+  sig.length = s.size();
+  for (unsigned char c : s) {
+    sig.presence |= uint64_t{1} << (c & 63);
+    uint8_t& count = sig.counts[c & 15];
+    if (count != 255) ++count;
+  }
+  return sig;
+}
+
+size_t EditDistanceLowerBound(const EditSignature& a, const EditSignature& b) {
+  // surplus + deficit = total and surplus - deficit = net, so the larger
+  // of the two is (total + |net|) / 2; total and net have equal parity.
+  // Branch-free, so the loop vectorizes.
+  int total = 0;
+  int net = 0;
+  for (size_t i = 0; i < a.counts.size(); ++i) {
+    const int d = static_cast<int>(a.counts[i]) - static_cast<int>(b.counts[i]);
+    total += d < 0 ? -d : d;
+    net += d;
+  }
+  const auto counts = static_cast<size_t>((total + (net < 0 ? -net : net)) / 2);
+  const size_t gap =
+      a.length > b.length ? a.length - b.length : b.length - a.length;
+  const size_t flips =
+      (static_cast<size_t>(std::popcount(a.presence ^ b.presence)) + 1) / 2;
+  return std::max({gap, counts, flips});
 }
 
 bool DlSimilar(std::string_view a, std::string_view b, double theta) {

@@ -1,7 +1,9 @@
 #ifndef MDMATCH_SIM_EDIT_DISTANCE_H_
 #define MDMATCH_SIM_EDIT_DISTANCE_H_
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 
 namespace mdmatch::sim {
@@ -54,10 +56,36 @@ double NormalizedDamerauLevenshtein(std::string_view a, std::string_view b);
 /// side has `longest` characters: floor((1 - theta) * longest + ε), the ε
 /// absorbing binary-representation error (at θ = 0.8 and length 5 the
 /// allowance must be exactly 1 edit, not 0.9999...). DlSimilar holds iff
-/// the DL distance is <= this budget; exported so prefilters (e.g. the
-/// compiled evaluator's presence signatures) bound against the exact same
-/// number.
+/// the DL distance is <= this budget; exported so a caller holding only
+/// the two lengths (the compiled evaluator, comparing EditSignatures)
+/// rejects against the exact same number.
 size_t DlEditBudget(double theta, size_t longest);
+
+/// \brief A 32-byte summary of one string from which
+/// EditDistanceLowerBound bounds its edit distance to another string
+/// without reading either.
+///
+/// Characters fold into classes: presence bit `c & 63`, count class
+/// `c & 15` (so '1', 'A', 'Q' and 'a' share count class 1). Counts
+/// saturate at 255. Folding and saturating only weaken the bound, never
+/// break it.
+struct EditSignature {
+  size_t length = 0;
+  uint64_t presence = 0;              ///< bit (c & 63) per character
+  std::array<uint8_t, 16> counts{};  ///< saturating count of class c & 15
+};
+
+EditSignature MakeEditSignature(std::string_view s);
+
+/// A lower bound on both LevenshteinDistance and
+/// DamerauLevenshteinDistance of the two summarized strings: the largest
+/// of the length gap, the class-count surplus and deficit (sum over
+/// classes of how far one count vector exceeds the other), and
+/// ceil(popcount(presence XOR) / 2). A substitution, insertion or deletion
+/// moves the surplus and the deficit by at most 1 each and flips at most
+/// two presence bits; a transposition moves none of them. Equal strings
+/// have bound 0.
+size_t EditDistanceLowerBound(const EditSignature& a, const EditSignature& b);
 
 /// The paper's thresholded DL predicate: v ~theta v' iff
 /// DL(v, v') <= (1 - theta) * max(|v|, |v'|). Section 6 fixes theta = 0.8.

@@ -15,6 +15,7 @@
 #include "api/executor.h"
 #include "api/plan.h"
 #include "datagen/credit_billing.h"
+#include "sim/edit_distance.h"
 #include "util/random.h"
 
 namespace mdmatch::match {
@@ -165,6 +166,66 @@ TEST(CompiledEvaluatorTest, ProfileAtomsAgreeWithRegistryEvaluation) {
   }
 }
 
+// One θ-DL atom and one Levenshtein atom, decided over profiles, agree
+// with DlSimilar / LevenshteinDistanceBounded where the longer value has
+// 4, 5, 9, 10, 14 or 15 characters: the lengths at which the θ = 0.8
+// budget steps from 0 to 1, 1 to 2 and 2 to 3 edits.
+TEST(CompiledEvaluatorTest, ProfiledEditAtomsAgreeAtBudgetBoundaries) {
+  sim::SimOpRegistry ops;
+  const size_t max_dist = 2;
+  CompiledEvaluator dl_eval = CompiledEvaluator::ForRules(
+      {RelativeKey({C(0, 0, ops.Dl(0.8))})}, ops);
+  CompiledEvaluator lev_eval = CompiledEvaluator::ForRules(
+      {RelativeKey({C(0, 0, ops.Levenshtein(max_dist))})}, ops);
+  ASSERT_TRUE(dl_eval.needs_profiles());
+  ASSERT_TRUE(lev_eval.needs_profiles());
+
+  Rng rng(808);
+  size_t similar = 0;
+  size_t dissimilar = 0;
+  for (size_t longest : {4, 5, 9, 10, 14, 15}) {
+    for (int trial = 0; trial < 400; ++trial) {
+      // '1', 'A' and 'a' share a count class; 'b' and 'r' share another.
+      std::string a;
+      for (size_t i = 0; i < longest; ++i) a.push_back("1Aabr"[rng.Index(5)]);
+      // Up to four substitutions, transpositions and deletions: the edited
+      // copy is never longer than `a`.
+      std::string b = a;
+      for (size_t e = rng.Index(5); e > 0 && !b.empty(); --e) {
+        const size_t at = rng.Index(b.size());
+        switch (rng.Index(3)) {
+          case 0:
+            b[at] = "1Aabrz"[rng.Index(6)];
+            break;
+          case 1:
+            if (at + 1 < b.size()) std::swap(b[at], b[at + 1]);
+            break;
+          default:
+            b.erase(at, 1);
+            break;
+        }
+      }
+      if (rng.Index(2) == 1) std::swap(a, b);
+      const Tuple left(1, {a});
+      const Tuple right(2, {b});
+      const bool dl = sim::DlSimilar(a, b, 0.8);
+      const RecordProfile dl_l = dl_eval.ProfileRecord(left, 0);
+      const RecordProfile dl_r = dl_eval.ProfileRecord(right, 1);
+      EXPECT_EQ(dl_eval.Matches(left, right, &dl_l, &dl_r), dl)
+          << "'" << a << "' vs '" << b << "'";
+      const bool lev =
+          sim::LevenshteinDistanceBounded(a, b, max_dist) <= max_dist;
+      const RecordProfile lev_l = lev_eval.ProfileRecord(left, 0);
+      const RecordProfile lev_r = lev_eval.ProfileRecord(right, 1);
+      EXPECT_EQ(lev_eval.Matches(left, right, &lev_l, &lev_r), lev)
+          << "'" << a << "' vs '" << b << "'";
+      ++(dl ? similar : dissimilar);
+    }
+  }
+  EXPECT_GT(similar, 0u);
+  EXPECT_GT(dissimilar, 0u);
+}
+
 // ------------------------------------------------ Fellegi-Sunter mode
 
 TEST(CompiledEvaluatorTest, FsThresholdTiesMatchNaiveDecision) {
@@ -281,7 +342,8 @@ class CompiledEquivalenceTest : public testing::Test {
 
 // Compiled vs naive on ~10k random noisy pairs (plus every candidate pair
 // the plan itself generates), across matcher x candidate configurations
-// and the all-`=` rule basis.
+// and the all-`=` rule basis, both without profiles and over the record
+// profiles Executor and MatchSession build.
 TEST_F(CompiledEquivalenceTest, CompiledAgreesWithNaiveOnRandomPairs) {
   std::vector<api::PlanOptions> configs(4);
   configs[0].matcher = api::PlanOptions::Matcher::kRuleBased;
@@ -306,15 +368,27 @@ TEST_F(CompiledEquivalenceTest, CompiledAgreesWithNaiveOnRandomPairs) {
   const Relation& right = data_.instance.right();
   for (const api::PlanPtr& plan : plans) {
     const api::MatchPlan& p = *plan;
+    std::vector<RecordProfile> profiles[2];
+    for (int side = 0; side < 2; ++side) {
+      const Relation& rel = side == 0 ? left : right;
+      for (size_t i = 0; i < rel.size(); ++i) {
+        profiles[side].push_back(
+            p.evaluator().ProfileRecord(rel.tuple(i), side));
+      }
+    }
 
     Rng rng(1234);
     size_t matches = 0;
     for (int trial = 0; trial < 10000; ++trial) {
-      const Tuple& l = left.tuple(rng.Index(left.size()));
-      const Tuple& r = right.tuple(rng.Index(right.size()));
+      const size_t li = rng.Index(left.size());
+      const size_t ri = rng.Index(right.size());
+      const Tuple& l = left.tuple(li);
+      const Tuple& r = right.tuple(ri);
       const bool naive = Naive(p, l, r);
       ASSERT_EQ(p.MatchesPair(l, r), naive)
           << "pair (" << l.id() << ", " << r.id() << ")";
+      ASSERT_EQ(p.MatchesPair(l, r, &profiles[0][li], &profiles[1][ri]), naive)
+          << "profiled pair (" << l.id() << ", " << r.id() << ")";
       if (naive) ++matches;
     }
     // The generated data pairs duplicates by id: the sample must have
@@ -325,8 +399,11 @@ TEST_F(CompiledEquivalenceTest, CompiledAgreesWithNaiveOnRandomPairs) {
     auto report = executor.Run(data_.instance);
     ASSERT_TRUE(report.ok());
     for (const auto& [li, ri] : report->candidates.pairs()) {
-      ASSERT_EQ(p.MatchesPair(left.tuple(li), right.tuple(ri)),
-                Naive(p, left.tuple(li), right.tuple(ri)));
+      const bool naive = Naive(p, left.tuple(li), right.tuple(ri));
+      ASSERT_EQ(p.MatchesPair(left.tuple(li), right.tuple(ri)), naive);
+      ASSERT_EQ(p.MatchesPair(left.tuple(li), right.tuple(ri),
+                              &profiles[0][li], &profiles[1][ri]),
+                naive);
     }
   }
 }

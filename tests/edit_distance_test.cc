@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -354,6 +355,95 @@ TEST(DlSimilarTest, SymmetricPredicate) {
     for (size_t j = rng.Index(8); j > 0; --j) a.push_back(rng.Letter());
     for (size_t j = rng.Index(8); j > 0; --j) b.push_back(rng.Letter());
     EXPECT_EQ(DlSimilar(a, b, 0.8), DlSimilar(b, a, 0.8));
+  }
+}
+
+// ------------------------------------------------- EditDistanceLowerBound
+
+// The signature bound of (a, b) is at most both exact distances.
+void ExpectBoundHolds(const std::string& a, const std::string& b) {
+  const size_t bound =
+      EditDistanceLowerBound(MakeEditSignature(a), MakeEditSignature(b));
+  EXPECT_LE(bound, DamerauLevenshteinDistance(a, b))
+      << "'" << a << "' vs '" << b << "'";
+  EXPECT_LE(bound, LevenshteinDistance(a, b))
+      << "'" << a << "' vs '" << b << "'";
+}
+
+std::string RandomOver(Rng& rng, std::string_view alphabet, size_t max_len) {
+  std::string out;
+  for (size_t j = rng.Index(max_len + 1); j > 0; --j) {
+    out.push_back(alphabet[rng.Index(alphabet.size())]);
+  }
+  return out;
+}
+
+TEST(EditLowerBoundTest, KnownValues) {
+  auto bound = [](std::string_view a, std::string_view b) {
+    return EditDistanceLowerBound(MakeEditSignature(a), MakeEditSignature(b));
+  };
+  EXPECT_EQ(bound("", ""), 0u);
+  EXPECT_EQ(bound("abc", "abc"), 0u);
+  EXPECT_EQ(bound("abc", "bca"), 0u);     // same counts, same presence
+  EXPECT_EQ(bound("", "abc"), 3u);        // the length gap
+  EXPECT_EQ(bound("12345", "67890"), 5u);  // disjoint counts: exact
+  EXPECT_EQ(bound("5550101", "5550110"), 0u);  // a transposition is free
+  // Count class 1 holds '1', 'A', 'Q' and 'a': the counts agree, but the
+  // four presence bits differ, so two edits are still proven.
+  EXPECT_EQ(bound("1A", "Qa"), 2u);
+}
+
+TEST(EditLowerBoundTest, BoundsBothDistancesOnSmallAlphabets) {
+  Rng rng(2009);
+  for (std::string_view alphabet : {"ab", "abc", "abcd"}) {
+    for (int trial = 0; trial < 400; ++trial) {
+      ExpectBoundHolds(RandomOver(rng, alphabet, 12),
+                       RandomOver(rng, alphabet, 12));
+    }
+  }
+}
+
+TEST(EditLowerBoundTest, BoundsBothDistancesWhenCharactersShareAClass) {
+  const EditSignature sig = MakeEditSignature("1AQa");
+  EXPECT_EQ(sig.counts[1], 4);
+  EXPECT_EQ(std::popcount(sig.presence), 4);
+  Rng rng(1515);
+  for (int trial = 0; trial < 800; ++trial) {
+    ExpectBoundHolds(RandomOver(rng, "1AQa", 10), RandomOver(rng, "1AQa", 10));
+    ExpectBoundHolds(RandomOver(rng, "1AQa2BRb", 10),
+                     RandomOver(rng, "1AQa", 10));
+  }
+}
+
+TEST(EditLowerBoundTest, BoundsBothDistancesOnHighBytesAndEmptyStrings) {
+  // Bytes >= 0x80 fold onto the same classes as their low-half twins.
+  const std::string high = {'\x80', '\xC1', '\xE9', '\xFF', 'A', 'i', '?'};
+  Rng rng(4096);
+  for (int trial = 0; trial < 800; ++trial) {
+    ExpectBoundHolds(RandomOver(rng, high, 8), RandomOver(rng, high, 8));
+    ExpectBoundHolds("", RandomOver(rng, high, 8));
+    ExpectBoundHolds(RandomOver(rng, high, 8), "");
+  }
+  ExpectBoundHolds("", "");
+}
+
+TEST(EditLowerBoundTest, BoundsBothDistancesWhenCountsSaturate) {
+  const EditSignature sig = MakeEditSignature(std::string(300, 'x'));
+  EXPECT_EQ(sig.counts['x' & 15], 255);
+  EXPECT_EQ(sig.length, 300u);
+  // 250 against a saturated 255: the length gap still proves 10 edits.
+  EXPECT_EQ(EditDistanceLowerBound(MakeEditSignature(std::string(250, 'x')),
+                                   MakeEditSignature(std::string(260, 'x'))),
+            10u);
+  // Runs on both sides of the saturation point; 'x' and 'h' share a count
+  // class but not a presence bit.
+  Rng rng(255);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::string a(230 + rng.Index(60), 'x');
+    std::string b(230 + rng.Index(60), rng.Index(2) == 0 ? 'x' : 'h');
+    a.insert(rng.Index(a.size() + 1), RandomOver(rng, "xhab", 6));
+    b.insert(rng.Index(b.size() + 1), RandomOver(rng, "xhab", 6));
+    ExpectBoundHolds(a, b);
   }
 }
 
