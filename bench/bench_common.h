@@ -2,8 +2,7 @@
 #define MDMATCH_BENCH_BENCH_COMMON_H_
 
 // Shared helpers for the figure benches. Each bench binary regenerates one
-// figure (or figure group) of the paper's Section 6 as an aligned table;
-// see EXPERIMENTS.md for the paper-vs-measured comparison.
+// figure (or figure group) of the paper's Section 6 as an aligned table.
 //
 // Set MDMATCH_BENCH_FULL=1 to run the paper's full parameter ranges
 // (K up to 80k tuples, card(Σ) up to 2000); the default ranges finish in a

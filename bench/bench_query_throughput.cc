@@ -247,10 +247,10 @@ int main() {
   }
 
   // --- catalog-shared blocking flushes vs standing-corpus size ---
-  // The catalog memo pins every published snapshot, so the advance can
-  // never recycle in place: the per-flush merge cost is the honest price
-  // of preserving a frozen block index. It should track the delta, not
-  // the corpus.
+  // The catalog memo pins every published snapshot, so each advance
+  // path-copies: the per-flush merge cost is the honest price of
+  // preserving a frozen block index. It should track the delta, not the
+  // corpus.
   api::PlanOptions block_options;
   block_options.candidates = api::PlanOptions::Candidates::kBlocking;
   auto block_plan = bench::CompileExperimentPlan(data, &ops, block_options);

@@ -438,7 +438,7 @@ void MatchSession::AdvanceIndexesLocked(FlushDelta* delta,
   ScopedTimer timer(&report->merge_seconds);
   delta->before = indexes_;
   indexes_ = IndexSnapshot::Advance(
-      std::move(indexes_), delta->pass_removes,
+      *indexes_, delta->pass_removes,
       std::move(delta->pass_inserts), delta->block_removes,
       delta->block_inserts);
   const auto& passes = indexes_->window_passes();

@@ -1,10 +1,8 @@
 #include "candidate/block_index.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
-#include "candidate/radix.h"
 #include "util/fnv.h"
 
 namespace mdmatch::candidate {
@@ -20,59 +18,8 @@ uint64_t KeyPriority(const std::string& key) {
 
 }  // namespace
 
-BlockIndex::BlockIndex(const BlockIndex& other)
-    : root_(other.root_), num_blocks_(other.num_blocks_) {
-  shared_.store(true, std::memory_order_relaxed);
-  other.shared_.store(true, std::memory_order_relaxed);
-}
-
-BlockIndex& BlockIndex::operator=(const BlockIndex& other) {
-  root_ = other.root_;
-  num_blocks_ = other.num_blocks_;
-  shared_.store(true, std::memory_order_relaxed);
-  other.shared_.store(true, std::memory_order_relaxed);
-  return *this;
-}
-
-BlockIndex::BlockIndex(BlockIndex&& other) noexcept
-    : root_(std::move(other.root_)), num_blocks_(other.num_blocks_) {
-  other.num_blocks_ = 0;
-  shared_.store(other.shared_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-}
-
-BlockIndex& BlockIndex::operator=(BlockIndex&& other) noexcept {
-  root_ = std::move(other.root_);
-  num_blocks_ = other.num_blocks_;
-  other.num_blocks_ = 0;
-  shared_.store(other.shared_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  return *this;
-}
-
-std::shared_ptr<BlockIndex::Node> BlockIndex::Own(const NodePtr& n) const {
-  if (!shared_.load(std::memory_order_relaxed)) {
-    // Never copied: every node is uniquely this index's, mutate in place.
-    // mdmatch-lint: allow(const-escape) unshared-tree fast path.
-    return std::const_pointer_cast<Node>(n);
-  }
-  auto copy = std::make_shared<Node>();
-  copy->key = n->key;
-  copy->priority = n->priority;
-  copy->block = n->block;
-  copy->left = n->left;
-  copy->right = n->right;
-  return copy;
-}
-
-std::shared_ptr<BlockIndex::Block> BlockIndex::OwnBlock(BlockPtr block) {
-  // A snapshot (path-copied node or an older tree) may still reference
-  // the payload: clone unless this reference is provably the only one.
-  if (block.use_count() == 1) {
-    // mdmatch-lint: allow(const-escape) provably sole reference.
-    return std::const_pointer_cast<Block>(std::move(block));
-  }
-  return std::make_shared<Block>(*block);
+std::shared_ptr<BlockIndex::Node> BlockIndex::Own(const NodePtr& n) {
+  return std::make_shared<Node>(*n);
 }
 
 const BlockIndex::Node* BlockIndex::FindNode(const std::string& key) const {
@@ -95,7 +42,7 @@ const BlockIndex::Block* BlockIndex::Find(const std::string& key) const {
 }
 
 void BlockIndex::SplitKey(const NodePtr& t, const std::string& key,
-                          NodePtr* less, NodePtr* greater) const {
+                          NodePtr* less, NodePtr* greater) {
   if (t == nullptr) {
     *less = nullptr;
     *greater = nullptr;
@@ -115,7 +62,7 @@ void BlockIndex::SplitKey(const NodePtr& t, const std::string& key,
   }
 }
 
-BlockIndex::NodePtr BlockIndex::JoinNodes(NodePtr a, NodePtr b) const {
+BlockIndex::NodePtr BlockIndex::JoinNodes(NodePtr a, NodePtr b) {
   if (a == nullptr) return b;
   if (b == nullptr) return a;
   if (a->priority > b->priority) {
@@ -131,15 +78,13 @@ BlockIndex::NodePtr BlockIndex::JoinNodes(NodePtr a, NodePtr b) const {
 BlockIndex::NodePtr BlockIndex::UpsertRec(const NodePtr& t,
                                           const std::string& key,
                                           uint64_t priority, uint8_t side,
-                                          uint32_t id,
-                                          bool* inserted) const {
+                                          uint32_t id) {
   if (t == nullptr || priority > t->priority) {
     // Heap order puts every node below `t` at priority <= t->priority <
     // priority, and the key's node would carry exactly `priority` — so
     // the key is absent here and the new node splices in. (An equal
     // priority — the key's own node or a hash-colliding key — falls
     // through to the key descent.)
-    *inserted = true;
     auto node = std::make_shared<Node>();
     node->key = key;
     node->priority = priority;
@@ -151,11 +96,13 @@ BlockIndex::NodePtr BlockIndex::UpsertRec(const NodePtr& t,
   }
   std::shared_ptr<Node> n = Own(t);
   if (key < n->key) {
-    n->left = UpsertRec(n->left, key, priority, side, id, inserted);
+    n->left = UpsertRec(n->left, key, priority, side, id);
   } else if (n->key < key) {
-    n->right = UpsertRec(n->right, key, priority, side, id, inserted);
+    n->right = UpsertRec(n->right, key, priority, side, id);
   } else {
-    std::shared_ptr<Block> block = OwnBlock(std::move(n->block));
+    // The block stays reachable from `t` (held by the pre-mutation
+    // version): clone it.
+    auto block = std::make_shared<Block>(*n->block);
     (side == 0 ? block->left : block->right).push_back(id);
     n->block = std::move(block);
   }
@@ -165,13 +112,12 @@ BlockIndex::NodePtr BlockIndex::UpsertRec(const NodePtr& t,
 BlockIndex::NodePtr BlockIndex::RemoveRec(const NodePtr& t,
                                           const std::string& key,
                                           uint8_t side, uint32_t id,
-                                          bool* removed,
-                                          bool* erased_block) const {
+                                          bool* removed) {
   if (t == nullptr) return t;
   if (key < t->key || t->key < key) {
     const bool go_left = key < t->key;
-    NodePtr child = RemoveRec(go_left ? t->left : t->right, key, side, id,
-                              removed, erased_block);
+    NodePtr child =
+        RemoveRec(go_left ? t->left : t->right, key, side, id, removed);
     if (!*removed) return t;  // untouched: no path copy for a failed remove
     std::shared_ptr<Node> n = Own(t);
     (go_left ? n->left : n->right) = std::move(child);
@@ -182,11 +128,10 @@ BlockIndex::NodePtr BlockIndex::RemoveRec(const NodePtr& t,
   if (std::find(ids.begin(), ids.end(), id) == ids.end()) return t;
   *removed = true;
   if (t->block->left.size() + t->block->right.size() == 1) {
-    *erased_block = true;
     return JoinNodes(t->left, t->right);
   }
   std::shared_ptr<Node> n = Own(t);
-  std::shared_ptr<Block> block = OwnBlock(std::move(n->block));
+  auto block = std::make_shared<Block>(*n->block);
   std::vector<uint32_t>& mutable_ids =
       side == 0 ? block->left : block->right;
   mutable_ids.erase(std::find(mutable_ids.begin(), mutable_ids.end(), id));
@@ -195,18 +140,14 @@ BlockIndex::NodePtr BlockIndex::RemoveRec(const NodePtr& t,
 }
 
 void BlockIndex::Add(uint8_t side, uint32_t id, const std::string& key) {
-  bool inserted = false;
-  root_ = UpsertRec(root_, key, KeyPriority(key), side, id, &inserted);
-  if (inserted) ++num_blocks_;
+  root_ = UpsertRec(root_, key, KeyPriority(key), side, id);
 }
 
 bool BlockIndex::Remove(uint8_t side, uint32_t id, const std::string& key) {
   bool removed = false;
-  bool erased_block = false;
-  NodePtr next = RemoveRec(root_, key, side, id, &removed, &erased_block);
+  NodePtr next = RemoveRec(root_, key, side, id, &removed);
   if (!removed) return false;
   root_ = std::move(next);
-  if (erased_block) --num_blocks_;
   return true;
 }
 
@@ -227,67 +168,6 @@ void BlockIndex::ForEachBlock(
     visit(cur->key, *cur->block);
     cur = cur->right.get();
   }
-}
-
-BlockIndex BlockIndex::FromInstance(const Instance& instance,
-                                    const match::KeyFunction& key) {
-  // One-shot bulk build: group records by hashed key in O(n), then
-  // assemble the treap with a Cartesian build over the radix-sorted
-  // distinct keys — no per-record treap descents, so the throwaway
-  // batch path pays nothing for the persistence machinery the
-  // incremental/session path uses.
-  std::unordered_map<std::string, std::shared_ptr<Block>> groups;
-  auto add = [&](uint8_t side, uint32_t id, std::string rendered) {
-    std::shared_ptr<Block>& block = groups[std::move(rendered)];
-    if (block == nullptr) block = std::make_shared<Block>();
-    (side == 0 ? block->left : block->right).push_back(id);
-  };
-  for (uint32_t i = 0; i < instance.left().size(); ++i) {
-    add(0, i, key.Render(instance.left().tuple(i), 0));
-  }
-  for (uint32_t i = 0; i < instance.right().size(); ++i) {
-    add(1, i, key.Render(instance.right().tuple(i), 1));
-  }
-
-  std::vector<std::pair<std::string, BlockPtr>> blocks;
-  blocks.reserve(groups.size());
-  for (auto& [k, block] : groups) {
-    blocks.emplace_back(k, std::move(block));
-  }
-  std::vector<uint32_t> perm(blocks.size());
-  for (uint32_t i = 0; i < perm.size(); ++i) perm[i] = i;
-  StableRadixSortByKey(perm, [&](uint32_t i) -> const std::string& {
-    return blocks[i].first;
-  });
-
-  // Cartesian build over the rightmost spine (see SortedKeyIndex::
-  // BuildFromSorted): each key-ordered node joins as the spine's tail,
-  // adopting as left child everything it outranks. Ties keep the earlier
-  // node on top, matching UpsertRec's strict-splice invariant.
-  BlockIndex index;
-  std::vector<std::shared_ptr<Node>> spine;
-  std::shared_ptr<Node> root;
-  for (uint32_t i : perm) {
-    auto node = std::make_shared<Node>();
-    node->key = std::move(blocks[i].first);
-    node->priority = KeyPriority(node->key);
-    node->block = std::move(blocks[i].second);
-    std::shared_ptr<Node> displaced;
-    while (!spine.empty() && spine.back()->priority < node->priority) {
-      displaced = std::move(spine.back());
-      spine.pop_back();
-    }
-    node->left = std::move(displaced);
-    if (spine.empty()) {
-      root = node;
-    } else {
-      spine.back()->right = node;
-    }
-    spine.push_back(std::move(node));
-  }
-  index.root_ = std::move(root);
-  index.num_blocks_ = blocks.size();
-  return index;
 }
 
 }  // namespace mdmatch::candidate

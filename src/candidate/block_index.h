@@ -1,15 +1,11 @@
 #ifndef MDMATCH_CANDIDATE_BLOCK_INDEX_H_
 #define MDMATCH_CANDIDATE_BLOCK_INDEX_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
-
-#include "match/key_function.h"
-#include "schema/instance.h"
 
 namespace mdmatch::candidate {
 
@@ -21,42 +17,29 @@ namespace mdmatch::candidate {
 /// makes blocking exactly incremental: adding or removing a record never
 /// changes the candidacy of any other pair, which is why the
 /// api::MatchSession keeps one BlockIndex alive across ingests instead of
-/// re-blocking the corpus. The one-shot BlockCandidates path builds a
-/// throwaway BlockIndex over a batch via FromInstance.
+/// re-blocking the corpus.
 ///
 /// Like candidate::SortedKeyIndex, the index is persistent with per-block
 /// structural sharing: internally a treap keyed by block key whose nodes
 /// hold reference-counted Block payloads. *Copying a BlockIndex is O(1)*
-/// — the copy is a frozen snapshot sharing every node — and a mutation on
-/// a copied index path-copies O(log #blocks) nodes and clones only the
-/// one touched Block, so advancing a frozen snapshot costs
+/// — the copy is a frozen snapshot sharing every node — and every
+/// mutation path-copies O(log #blocks) nodes and clones only the one
+/// touched Block, so advancing a frozen snapshot costs
 /// O(delta · (log n + block)) instead of the O(corpus) whole-map clone
-/// the pre-persistent implementation paid. An index that was never copied
-/// owns all nodes uniquely and mutates destructively (no copies at all).
+/// the pre-persistent implementation paid.
 ///
 /// Blocks reachable from a frozen copy are immutable — no method hands
 /// out a mutable reference into a snapshot; iteration goes through the
 /// const visitor ForEachBlock.
 ///
-/// Records are opaque (side, id) handles: batch executions use tuple
-/// positions, sessions use ingestion sequence numbers.
+/// Records are opaque (side, id) handles: sessions use ingestion
+/// sequence numbers.
 class BlockIndex {
  public:
   struct Block {
     std::vector<uint32_t> left;   ///< side-0 record ids, insertion order
     std::vector<uint32_t> right;  ///< side-1 record ids, insertion order
   };
-
-  BlockIndex() = default;
-
-  /// Copying is the snapshot operation: O(1), both sides keep the same
-  /// nodes. It also flips both indexes into persistent (path-copying)
-  /// mutation mode for good — an index that was *never* copied owns every
-  /// node and block uniquely and mutates destructively instead.
-  BlockIndex(const BlockIndex& other);
-  BlockIndex& operator=(const BlockIndex& other);
-  BlockIndex(BlockIndex&& other) noexcept;
-  BlockIndex& operator=(BlockIndex&& other) noexcept;
 
   /// Adds a record under its rendered key. O(log #blocks) expected.
   void Add(uint8_t side, uint32_t id, const std::string& key);
@@ -76,12 +59,6 @@ class BlockIndex {
       const std::function<void(const std::string& key, const Block& block)>&
           visit) const;
 
-  size_t num_blocks() const { return num_blocks_; }
-
-  /// Blocks a whole batch by tuple positions (the one-shot path).
-  static BlockIndex FromInstance(const Instance& instance,
-                                 const match::KeyFunction& key);
-
  private:
   using BlockPtr = std::shared_ptr<const Block>;
   struct Node;
@@ -94,40 +71,28 @@ class BlockIndex {
     NodePtr right;
   };
 
-  /// A node this index may mutate: the node itself in destructive mode,
-  /// a field-copy (sharing the Block) in persistent mode — the path-copy
-  /// step.
-  std::shared_ptr<Node> Own(const NodePtr& n) const;
-  /// A Block this index may mutate: cloned whenever any snapshot may
-  /// still reach it.
-  static std::shared_ptr<Block> OwnBlock(BlockPtr block);
+  /// A copy of `n` (sharing its Block and children) that this index may
+  /// mutate: the path-copy step.
+  static std::shared_ptr<Node> Own(const NodePtr& n);
 
   const Node* FindNode(const std::string& key) const;
   /// Splits into (keys < key, keys > key); `key` must not be present.
-  void SplitKey(const NodePtr& t, const std::string& key, NodePtr* less,
-                NodePtr* greater) const;
+  static void SplitKey(const NodePtr& t, const std::string& key,
+                       NodePtr* less, NodePtr* greater);
   /// Joins two treaps where every key of `a` precedes every key of `b`.
-  NodePtr JoinNodes(NodePtr a, NodePtr b) const;
+  static NodePtr JoinNodes(NodePtr a, NodePtr b);
   /// Single-descent add: splices a fresh node where `priority` outranks
   /// the subtree (the key then cannot exist below it — priorities are a
   /// deterministic function of the key and heap-ordered), otherwise
-  /// descends to the equal key and appends to its block. Sets *inserted
-  /// when a new block node was created.
-  NodePtr UpsertRec(const NodePtr& t, const std::string& key,
-                    uint64_t priority, uint8_t side, uint32_t id,
-                    bool* inserted) const;
+  /// descends to the equal key and appends to a clone of its block.
+  static NodePtr UpsertRec(const NodePtr& t, const std::string& key,
+                           uint64_t priority, uint8_t side, uint32_t id);
   /// Single-descent removal: path-copies only when the id was actually
-  /// found (sets *removed); *erased_block when the block emptied and its
-  /// node left the tree.
-  NodePtr RemoveRec(const NodePtr& t, const std::string& key, uint8_t side,
-                    uint32_t id, bool* removed, bool* erased_block) const;
+  /// found (sets *removed); a block that empties leaves the tree.
+  static NodePtr RemoveRec(const NodePtr& t, const std::string& key,
+                           uint8_t side, uint32_t id, bool* removed);
 
   NodePtr root_;
-  size_t num_blocks_ = 0;
-  /// True once any copy of this index was ever taken: nodes and blocks
-  /// may be reachable from that copy, so mutations must path-copy from
-  /// then on. Mirrors candidate::SortedKeyIndex::shared_.
-  mutable std::atomic<bool> shared_{false};
 };
 
 }  // namespace mdmatch::candidate

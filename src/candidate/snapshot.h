@@ -22,33 +22,30 @@ using IndexSnapshotPtr = std::shared_ptr<const IndexSnapshot>;
 /// indexes: the per-pass sorted windowing indexes, or the blocking index.
 ///
 /// Versions form a chain (or, when sessions diverge, a tree): each
-/// Advance applies one flush's delta and yields the next snapshot. Both
-/// index kinds are persistent — windowing indexes are order-statistic
-/// treaps, the blocking index a per-block key treap — so an advance costs
-/// O(delta · log n) and shares all untouched nodes (and untouched blocks)
-/// with its parent, regardless of how many frozen versions are still
-/// alive. A parent nobody else references is recycled in place.
+/// Advance applies one flush's delta and yields a fresh next snapshot,
+/// leaving its parent untouched. Both index kinds are persistent —
+/// windowing indexes are order-statistic treaps, the blocking index a
+/// per-block key treap — so an advance costs O(delta · log n) and shares
+/// all untouched nodes (and untouched blocks) with its parent, regardless
+/// of how many frozen versions are still alive.
 class IndexSnapshot {
  public:
   /// The starting snapshot: empty indexes, `passes` windowing passes
   /// (0 for blocking plans).
   static IndexSnapshotPtr Empty(size_t passes, bool blocking);
 
-  /// Applies one delta to `base` and returns the resulting snapshot.
-  /// `base` is passed by value on purpose: a
-  /// caller that moves in its only reference lets Advance recycle the
-  /// object in place; otherwise the result is a fresh snapshot — an O(1)
-  /// structural copy of the persistent indexes — and `base` survives
-  /// untouched for its remaining holders (api::MatchSession publishes
-  /// every flushed snapshot inside a SessionGeneration, so its advances
-  /// always take this path).
+  /// Applies one delta to a copy of `base` and returns the copy. The
+  /// copy is O(1) — the persistent indexes share every node — so an
+  /// advance costs only the delta, and `base` stays untouched for its
+  /// holders (api::MatchSession publishes every flushed snapshot inside
+  /// a SessionGeneration).
   ///
   /// `pass_removes` / `pass_inserts` are per windowing pass (must match
   /// the snapshot's pass count); `block_removes` / `block_inserts` feed
   /// the blocking index. A windowing snapshot ignores the block lists and
   /// vice versa.
   static IndexSnapshotPtr Advance(
-      IndexSnapshotPtr base,
+      const IndexSnapshot& base,
       const std::vector<std::vector<IndexedEntry>>& pass_removes,
       std::vector<std::vector<IndexedEntry>> pass_inserts,
       const std::vector<IndexedEntry>& block_removes,
@@ -69,7 +66,7 @@ class IndexSnapshot {
 
   std::vector<SortedKeyIndex> window_;
   /// Owned per snapshot; copying the pointee is O(1) (persistent treap),
-  /// so a non-recycled Advance copies instead of sharing a mutable index.
+  /// so Advance copies instead of sharing a mutable index.
   std::unique_ptr<BlockIndex> block_;
 };
 

@@ -1,7 +1,6 @@
 #include "candidate/sorted_index.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 #include "candidate/radix.h"
@@ -21,32 +20,6 @@ uint64_t EntryPriority(const IndexedEntry& e) {
 }
 
 }  // namespace
-
-SortedKeyIndex::SortedKeyIndex(const SortedKeyIndex& other)
-    : root_(other.root_) {
-  shared_.store(true, std::memory_order_relaxed);
-  other.shared_.store(true, std::memory_order_relaxed);
-}
-
-SortedKeyIndex& SortedKeyIndex::operator=(const SortedKeyIndex& other) {
-  root_ = other.root_;
-  shared_.store(true, std::memory_order_relaxed);
-  other.shared_.store(true, std::memory_order_relaxed);
-  return *this;
-}
-
-SortedKeyIndex::SortedKeyIndex(SortedKeyIndex&& other) noexcept
-    : root_(std::move(other.root_)) {
-  shared_.store(other.shared_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-}
-
-SortedKeyIndex& SortedKeyIndex::operator=(SortedKeyIndex&& other) noexcept {
-  root_ = std::move(other.root_);
-  shared_.store(other.shared_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  return *this;
-}
 
 SortedKeyIndex::NodePtr SortedKeyIndex::MakeNode(EntryPtr entry,
                                                  uint64_t priority,
@@ -93,29 +66,6 @@ SortedKeyIndex::NodePtr SortedKeyIndex::Join(NodePtr a, NodePtr b) {
   return WithChildren(*b, Join(std::move(a), b->left), b->right);
 }
 
-SortedKeyIndex::NodePtr SortedKeyIndex::InsertNode(const NodePtr& t,
-                                                   EntryPtr entry,
-                                                   uint64_t priority) {
-  if (t == nullptr) {
-    return MakeNode(std::move(entry), priority, nullptr, nullptr);
-  }
-  if (priority > t->priority) {
-    NodePtr less;
-    NodePtr rest;
-    Split(t, *entry, &less, &rest);
-    return MakeNode(std::move(entry), priority, std::move(less),
-                    std::move(rest));
-  }
-  if (*entry < *t->entry) {
-    return WithChildren(*t, InsertNode(t->left, std::move(entry), priority),
-                        t->right);
-  }
-  // Equal entries go right: immediately after the present one, the stable
-  // position.
-  return WithChildren(*t, t->left,
-                      InsertNode(t->right, std::move(entry), priority));
-}
-
 SortedKeyIndex::NodePtr SortedKeyIndex::RemoveNode(const NodePtr& t,
                                                    const IndexedEntry& e,
                                                    bool* removed) {
@@ -132,25 +82,8 @@ SortedKeyIndex::NodePtr SortedKeyIndex::RemoveNode(const NodePtr& t,
   return Join(t->left, t->right);
 }
 
-void SortedKeyIndex::Insert(IndexedEntry entry) {
-  const uint64_t priority = EntryPriority(entry);
-  if (!shared_.load(std::memory_order_relaxed)) {
-    auto node = std::make_shared<Node>();
-    node->priority = priority;
-    node->entry = std::make_shared<const IndexedEntry>(std::move(entry));
-    root_ = InsertMut(Mutable(std::move(root_)), std::move(node));
-    return;
-  }
-  auto shared = std::make_shared<const IndexedEntry>(std::move(entry));
-  root_ = InsertNode(root_, std::move(shared), priority);
-}
-
 bool SortedKeyIndex::Remove(const IndexedEntry& entry) {
   bool removed = false;
-  if (!shared_.load(std::memory_order_relaxed)) {
-    root_ = RemoveMut(Mutable(std::move(root_)), entry, &removed);
-    return removed;
-  }
   NodePtr next = RemoveNode(root_, entry, &removed);
   if (removed) root_ = std::move(next);
   return removed;
@@ -215,71 +148,6 @@ SortedKeyIndex::NodePtr SortedKeyIndex::UnionFresh(
                   UnionFresh(shared->right, std::move(fresh_rest)));
 }
 
-std::shared_ptr<SortedKeyIndex::Node> SortedKeyIndex::JoinMut(
-    std::shared_ptr<Node> a, std::shared_ptr<Node> b) {
-  if (a == nullptr) return b;
-  if (b == nullptr) return a;
-  if (a->priority > b->priority) {
-    a->right = JoinMut(Mutable(a->right), std::move(b));
-    a->count = 1 + Count(a->left.get()) + Count(a->right.get());
-    return a;
-  }
-  b->left = JoinMut(std::move(a), Mutable(b->left));
-  b->count = 1 + Count(b->left.get()) + Count(b->right.get());
-  return b;
-}
-
-std::shared_ptr<SortedKeyIndex::Node> SortedKeyIndex::UnionMut(
-    std::shared_ptr<Node> a, std::shared_ptr<Node> b) {
-  if (a == nullptr) return b;
-  if (b == nullptr) return a;
-  if (a->priority < b->priority) std::swap(a, b);
-  std::shared_ptr<Node> b_less;
-  std::shared_ptr<Node> b_rest;
-  SplitFresh(std::move(b), *a->entry, &b_less, &b_rest);
-  a->left = UnionMut(Mutable(a->left), std::move(b_less));
-  a->right = UnionMut(Mutable(a->right), std::move(b_rest));
-  a->count = 1 + Count(a->left.get()) + Count(a->right.get());
-  return a;
-}
-
-std::shared_ptr<SortedKeyIndex::Node> SortedKeyIndex::InsertMut(
-    std::shared_ptr<Node> t, std::shared_ptr<Node> node) {
-  if (t == nullptr) return node;
-  if (node->priority > t->priority) {
-    std::shared_ptr<Node> less;
-    std::shared_ptr<Node> rest;
-    SplitFresh(std::move(t), *node->entry, &less, &rest);
-    node->left = std::move(less);
-    node->right = std::move(rest);
-    node->count =
-        1 + Count(node->left.get()) + Count(node->right.get());
-    return node;
-  }
-  if (*node->entry < *t->entry) {
-    t->left = InsertMut(Mutable(t->left), std::move(node));
-  } else {
-    t->right = InsertMut(Mutable(t->right), std::move(node));
-  }
-  t->count = 1 + Count(t->left.get()) + Count(t->right.get());
-  return t;
-}
-
-std::shared_ptr<SortedKeyIndex::Node> SortedKeyIndex::RemoveMut(
-    std::shared_ptr<Node> t, const IndexedEntry& e, bool* removed) {
-  if (t == nullptr) return nullptr;
-  if (e < *t->entry) {
-    t->left = RemoveMut(Mutable(t->left), e, removed);
-  } else if (*t->entry < e) {
-    t->right = RemoveMut(Mutable(t->right), e, removed);
-  } else {
-    *removed = true;
-    return JoinMut(Mutable(t->left), Mutable(t->right));
-  }
-  if (*removed) t->count = 1 + Count(t->left.get()) + Count(t->right.get());
-  return t;
-}
-
 std::shared_ptr<SortedKeyIndex::Node> SortedKeyIndex::BuildFromSorted(
     std::vector<IndexedEntry> sorted) {
   // Cartesian-tree build over the rightmost spine: each entry joins as
@@ -341,10 +209,7 @@ void SortedKeyIndex::Apply(const std::vector<IndexedEntry>& removes,
   sorted.reserve(inserts.size());
   for (uint32_t i : perm) sorted.push_back(std::move(inserts[i]));
   std::shared_ptr<Node> batch = BuildFromSorted(std::move(sorted));
-  root_ = shared_.load(std::memory_order_relaxed)
-              ? UnionFresh(std::move(root_), std::move(batch))
-              : NodePtr(UnionMut(Mutable(std::move(root_)),
-                                 std::move(batch)));
+  root_ = UnionFresh(std::move(root_), std::move(batch));
 }
 
 size_t SortedKeyIndex::LowerBound(const IndexedEntry& e) const {
@@ -359,29 +224,6 @@ size_t SortedKeyIndex::LowerBound(const IndexedEntry& e) const {
     }
   }
   return rank;
-}
-
-const IndexedEntry& SortedKeyIndex::at(size_t pos) const {
-  const Node* n = root_.get();
-  assert(pos < Count(n) && "SortedKeyIndex::at out of range");
-  while (true) {
-    const size_t left_count = Count(n->left.get());
-    if (pos < left_count) {
-      n = n->left.get();
-    } else if (pos == left_count) {
-      return *n->entry;
-    } else {
-      pos -= left_count + 1;
-      n = n->right.get();
-    }
-  }
-}
-
-std::vector<const IndexedEntry*> SortedKeyIndex::Span(size_t lo,
-                                                      size_t hi) const {
-  std::vector<const IndexedEntry*> out;
-  SpanInto(lo, hi, &out);
-  return out;
 }
 
 void SortedKeyIndex::SpanInto(size_t lo, size_t hi,
@@ -424,13 +266,6 @@ void SortedKeyIndex::SpanInto(size_t lo, size_t hi,
       next = next->left.get();
     }
   }
-}
-
-std::vector<IndexedEntry> SortedKeyIndex::Entries() const {
-  std::vector<IndexedEntry> out;
-  out.reserve(size());
-  for (const IndexedEntry* e : Span(0, size())) out.push_back(*e);
-  return out;
 }
 
 }  // namespace mdmatch::candidate

@@ -1,7 +1,6 @@
 #ifndef MDMATCH_CANDIDATE_SORTED_INDEX_H_
 #define MDMATCH_CANDIDATE_SORTED_INDEX_H_
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -12,47 +11,32 @@ namespace mdmatch::candidate {
 
 /// \brief A persistent order-statistic index over one windowing sort key.
 ///
-/// Implemented as an immutable treap with subtree counts: ranked insert /
-/// remove and rank queries are O(log n) expected, and every mutation
-/// path-copies, so *copying a SortedKeyIndex is O(1)* — the copy is a
-/// frozen snapshot that structurally shares all untouched nodes with the
-/// evolving original. api::MatchSession keeps one per windowing pass: a
-/// flush merges a delta in O(delta · log n) instead of the O(corpus)
+/// Implemented as an immutable treap with subtree counts: batch updates,
+/// removals and rank queries are O(log n) expected per entry, and every
+/// mutation path-copies, so *copying a SortedKeyIndex is O(1)* — the copy
+/// is a frozen snapshot that structurally shares all untouched nodes with
+/// the evolving original. api::MatchSession keeps one per windowing pass:
+/// a flush merges a delta in O(delta · log n) instead of the O(corpus)
 /// rebuild a flat sorted vector costs, and readers (queries, other
 /// sessions via candidate::IndexCatalog) scan an earlier snapshot without
-/// locks while the owner keeps inserting.
+/// locks while the owner keeps advancing.
 ///
 /// Treap priorities are deterministic hashes of (key, side, seq), so the
 /// tree shape — and therefore every traversal — is a pure function of the
 /// contents. Entries are heap-allocated once on insert and shared by all
-/// versions that contain them: pointers returned by Span stay valid as
-/// long as any snapshot containing the entry is alive.
+/// versions that contain them: pointers returned by SpanInto stay valid
+/// as long as any snapshot containing the entry is alive.
 class SortedKeyIndex {
  public:
-  SortedKeyIndex() = default;
-
-  /// Copying is the snapshot operation: O(1), both sides keep the same
-  /// nodes. It also flips both indexes into persistent (path-copying)
-  /// mutation mode for good — an index that was *never* copied owns every
-  /// node uniquely and mutates destructively instead, with no path copies
-  /// at all (the unshared fast path a lone MatchSession runs on).
-  SortedKeyIndex(const SortedKeyIndex& other);
-  SortedKeyIndex& operator=(const SortedKeyIndex& other);
-  SortedKeyIndex(SortedKeyIndex&& other) noexcept;
-  SortedKeyIndex& operator=(SortedKeyIndex&& other) noexcept;
-
-  /// Inserts one entry, O(log n) expected. An entry equal to a present
-  /// one lands immediately after it (the stable position a duplicate
-  /// would get from a stable sort).
-  void Insert(IndexedEntry entry);
-
   /// Removes the entry matched exactly by key/side/seq; returns false
   /// when it was not present. O(log n) expected.
   bool Remove(const IndexedEntry& entry);
 
   /// Applies one batch of mutations: every entry of `removes` (matched
   /// exactly) leaves the index, every entry of `inserts` enters it.
-  /// Either list may be empty; entries never present are ignored.
+  /// Either list may be empty; entries never present are ignored. An
+  /// inserted entry equal to a present one lands immediately after it
+  /// (the stable position a duplicate would get from a stable sort).
   /// Inserts are bulk-merged — the batch becomes a treap in O(m) (a
   /// Cartesian-tree build over the sorted batch) and is unioned in, for
   /// O(m · log(n/m)) expected instead of m separate root-to-leaf
@@ -68,22 +52,13 @@ class SortedKeyIndex {
   /// occupy (the gap a removed entry left behind). O(log n) expected.
   size_t LowerBound(const IndexedEntry& e) const;
 
-  /// The entry at rank `pos` (0-based). O(log n) expected; scans over a
-  /// rank range should use Span instead.
-  const IndexedEntry& at(size_t pos) const;
-
   /// The entries of ranks [lo, min(hi, size())) in order, as stable
-  /// pointers. O(log n + length) expected — the treap walk is amortized
-  /// O(1) per step.
-  std::vector<const IndexedEntry*> Span(size_t lo, size_t hi) const;
-
-  /// Span into a caller-owned buffer (cleared first): the allocation-free
-  /// variant for hot scan loops that walk many small windows.
+  /// pointers, into a caller-owned buffer (cleared first, so hot scan
+  /// loops that walk many small windows reuse one allocation).
+  /// O(log n + length) expected — the treap walk is amortized O(1) per
+  /// step.
   void SpanInto(size_t lo, size_t hi,
                 std::vector<const IndexedEntry*>* out) const;
-
-  /// All entries in order (test / debug helper). O(n).
-  std::vector<IndexedEntry> Entries() const;
 
  private:
   using EntryPtr = std::shared_ptr<const IndexedEntry>;
@@ -108,12 +83,10 @@ class SortedKeyIndex {
   /// Joins two treaps where every entry of `a` precedes every entry of
   /// `b`.
   static NodePtr Join(NodePtr a, NodePtr b);
-  static NodePtr InsertNode(const NodePtr& t, EntryPtr entry,
-                            uint64_t priority);
   static NodePtr RemoveNode(const NodePtr& t, const IndexedEntry& e,
                             bool* removed);
-  /// Union of the (possibly shared) index with a freshly built (uniquely
-  /// owned, mutable) batch treap: O(m · log(n/m)) expected, path-copying
+  /// Union of the (shared) index with a freshly built (uniquely owned,
+  /// mutable) batch treap: O(m · log(n/m)) expected, path-copying
   /// only nodes of the shared side — batch nodes are spliced in place and
   /// batch splits mutate destructively, so the allocation count tracks
   /// the split boundaries, not the batch size.
@@ -126,32 +99,8 @@ class SortedKeyIndex {
   /// tree over the deterministic priorities).
   static std::shared_ptr<Node> BuildFromSorted(
       std::vector<IndexedEntry> sorted);
-  // Destructive counterparts for the unshared fast path: every node is
-  // uniquely owned, so mutation needs no copies at all.
-  static std::shared_ptr<Node> Mutable(NodePtr t) {
-    // mdmatch-lint: allow(const-escape) the one sanctioned escape hatch:
-    // callers hold the unshared fast path's uniqueness proof.
-    return std::const_pointer_cast<Node>(std::move(t));
-  }
-  static std::shared_ptr<Node> JoinMut(std::shared_ptr<Node> a,
-                                       std::shared_ptr<Node> b);
-  static std::shared_ptr<Node> UnionMut(std::shared_ptr<Node> a,
-                                        std::shared_ptr<Node> b);
-  static std::shared_ptr<Node> InsertMut(std::shared_ptr<Node> t,
-                                         std::shared_ptr<Node> node);
-  static std::shared_ptr<Node> RemoveMut(std::shared_ptr<Node> t,
-                                         const IndexedEntry& e,
-                                         bool* removed);
 
   NodePtr root_;
-  /// True once any copy of this index was ever taken: nodes may be
-  /// reachable from that copy, so mutations must path-copy from then on.
-  /// `mutable` because taking a snapshot of a const index still commits
-  /// the source to persistent mode; atomic because two readers may
-  /// snapshot one index concurrently (relaxed is enough — the flag only
-  /// ever goes false -> true, and mutations are externally serialized
-  /// with snapshotting by the owner's lock).
-  mutable std::atomic<bool> shared_{false};
 };
 
 }  // namespace mdmatch::candidate

@@ -1,7 +1,7 @@
 #ifndef MDMATCH_MATCH_BLOCKING_H_
 #define MDMATCH_MATCH_BLOCKING_H_
 
-#include <vector>
+#include <cstddef>
 
 #include "match/key_function.h"
 #include "match/match_result.h"
@@ -11,12 +11,9 @@ namespace mdmatch::match {
 
 /// \brief Blocking (paper Section 1 "Applications" and Exp-4): partition
 /// both relations by the blocking key and emit every cross-relation pair
-/// within a block.
+/// within a block. Pairs come in block-key order, then left position,
+/// then right position.
 CandidateSet BlockCandidates(const Instance& instance, const KeyFunction& key);
-
-/// Multi-pass blocking: union of per-key candidates.
-CandidateSet BlockCandidatesMultiPass(const Instance& instance,
-                                      const std::vector<KeyFunction>& keys);
 
 /// Block-size statistics (useful for diagnosing skewed keys).
 struct BlockingStats {

@@ -2,8 +2,8 @@
 // order-statistic persistent SortedKeyIndex against a flat-vector
 // reference model, snapshot semantics (copies frozen while the original
 // advances), the radix permutation sort against stable_sort, the
-// single-sort windowing front-end, IndexSnapshot copy-on-write advances
-// and IndexCatalog entry sharing.
+// single-sort windowing front-end, IndexSnapshot advances that leave
+// their base untouched, and IndexCatalog entry sharing.
 
 #include <algorithm>
 #include <cstdint>
@@ -36,20 +36,49 @@ std::vector<IndexedEntry> SortedReference(std::vector<IndexedEntry> entries) {
   return entries;
 }
 
+/// Inserts one entry as a batch of one.
+void Insert(SortedKeyIndex* index, IndexedEntry entry) {
+  index->Apply({}, {std::move(entry)});
+}
+
+/// The entries of ranks [lo, hi), through SpanInto.
+std::vector<const IndexedEntry*> Span(const SortedKeyIndex& index,
+                                      size_t lo, size_t hi) {
+  std::vector<const IndexedEntry*> out;
+  index.SpanInto(lo, hi, &out);
+  return out;
+}
+
+/// The entry at rank `pos`.
+IndexedEntry At(const SortedKeyIndex& index, size_t pos) {
+  const auto span = Span(index, pos, pos + 1);
+  EXPECT_EQ(span.size(), 1u) << "rank " << pos << " out of range";
+  return span.empty() ? IndexedEntry{} : *span[0];
+}
+
+/// All entries in order.
+std::vector<IndexedEntry> Entries(const SortedKeyIndex& index) {
+  std::vector<IndexedEntry> out;
+  for (const IndexedEntry* e : Span(index, 0, index.size())) {
+    out.push_back(*e);
+  }
+  return out;
+}
+
 TEST(SortedKeyIndexTest, InsertRemoveRankAndSelect) {
   SortedKeyIndex index;
   EXPECT_TRUE(index.empty());
-  index.Insert({"b", 0, 1});
-  index.Insert({"a", 1, 2});
-  index.Insert({"c", 0, 3});
-  index.Insert({"a", 0, 4});
+  Insert(&index, {"b", 0, 1});
+  Insert(&index, {"a", 1, 2});
+  Insert(&index, {"c", 0, 3});
+  Insert(&index, {"a", 0, 4});
   ASSERT_EQ(index.size(), 4u);
 
   // Order: ("a",0,4) ("a",1,2) ("b",0,1) ("c",0,3).
-  EXPECT_EQ(index.at(0), (IndexedEntry{"a", 0, 4}));
-  EXPECT_EQ(index.at(1), (IndexedEntry{"a", 1, 2}));
-  EXPECT_EQ(index.at(2), (IndexedEntry{"b", 0, 1}));
-  EXPECT_EQ(index.at(3), (IndexedEntry{"c", 0, 3}));
+  EXPECT_EQ(At(index, 0), (IndexedEntry{"a", 0, 4}));
+  EXPECT_EQ(At(index, 1), (IndexedEntry{"a", 1, 2}));
+  EXPECT_EQ(At(index, 2), (IndexedEntry{"b", 0, 1}));
+  EXPECT_EQ(At(index, 3), (IndexedEntry{"c", 0, 3}));
 
   EXPECT_EQ(index.LowerBound({"a", 0, 4}), 0u);
   EXPECT_EQ(index.LowerBound({"b", 0, 1}), 2u);
@@ -59,35 +88,38 @@ TEST(SortedKeyIndexTest, InsertRemoveRankAndSelect) {
   EXPECT_FALSE(index.Remove({"b", 0, 1}));  // already gone
   EXPECT_FALSE(index.Remove({"zz", 1, 9}));  // never present
   ASSERT_EQ(index.size(), 3u);
-  EXPECT_EQ(index.at(2), (IndexedEntry{"c", 0, 3}));
+  EXPECT_EQ(At(index, 2), (IndexedEntry{"c", 0, 3}));
 }
 
 TEST(SortedKeyIndexTest, SpanWalksRankRanges) {
   SortedKeyIndex index;
   for (uint32_t i = 0; i < 100; ++i) {
-    index.Insert({std::to_string(i % 10) + "-" + std::to_string(i), 0, i});
+    Insert(&index, {std::to_string(i % 10) + "-" + std::to_string(i), 0, i});
   }
-  const auto all = index.Span(0, index.size());
+  const auto all = Span(index, 0, index.size());
   ASSERT_EQ(all.size(), 100u);
   for (size_t i = 0; i + 1 < all.size(); ++i) {
     EXPECT_TRUE(*all[i] < *all[i + 1]);
   }
   // Any sub-span equals the same slice of the full walk.
-  const auto mid = index.Span(37, 61);
+  const auto mid = Span(index, 37, 61);
   ASSERT_EQ(mid.size(), 24u);
   for (size_t i = 0; i < mid.size(); ++i) {
     EXPECT_EQ(*mid[i], *all[37 + i]);
-    EXPECT_EQ(*mid[i], index.at(37 + i));
+    EXPECT_EQ(*mid[i], At(index, 37 + i));
   }
-  EXPECT_TRUE(index.Span(95, 200).size() == 5u);  // hi clamps to size
-  EXPECT_TRUE(index.Span(60, 60).empty());
-  EXPECT_TRUE(index.Span(200, 300).empty());
+  EXPECT_TRUE(Span(index, 95, 200).size() == 5u);  // hi clamps to size
+  EXPECT_TRUE(Span(index, 60, 60).empty());
+  EXPECT_TRUE(Span(index, 200, 300).empty());
 }
 
 TEST(SortedKeyIndexTest, RandomOpsMatchFlatReference) {
   std::mt19937 rng(4711);
   SortedKeyIndex index;
   std::vector<IndexedEntry> reference;  // kept sorted
+  // Copies taken along the way, each with the reference of its round:
+  // later batches must never show through a copy.
+  std::vector<std::pair<SortedKeyIndex, std::vector<IndexedEntry>>> copies;
   uint32_t next_seq = 0;
 
   for (int round = 0; round < 60; ++round) {
@@ -113,7 +145,7 @@ TEST(SortedKeyIndexTest, RandomOpsMatchFlatReference) {
     reference = SortedReference(std::move(reference));
 
     ASSERT_EQ(index.size(), reference.size());
-    EXPECT_EQ(index.Entries(), reference);
+    EXPECT_EQ(Entries(index), reference);
     // Rank queries agree with the flat lower_bound on present entries,
     // gaps and extremes.
     for (int probe = 0; probe < 20 && !reference.empty(); ++probe) {
@@ -125,30 +157,36 @@ TEST(SortedKeyIndexTest, RandomOpsMatchFlatReference) {
           reference.begin());
       EXPECT_EQ(index.LowerBound(e), expected);
     }
+    if (round % 7 == 3) copies.emplace_back(index, reference);  // O(1)
+  }
+  ASSERT_FALSE(copies.empty());
+  for (const auto& [copy, copy_reference] : copies) {
+    ASSERT_EQ(copy.size(), copy_reference.size());
+    EXPECT_EQ(Entries(copy), copy_reference);
   }
 }
 
 TEST(SortedKeyIndexTest, CopiesAreFrozenSnapshots) {
   SortedKeyIndex index;
   for (uint32_t i = 0; i < 50; ++i) {
-    index.Insert({std::to_string(i), 0, i});
+    Insert(&index, {std::to_string(i), 0, i});
   }
   const SortedKeyIndex snapshot = index;  // O(1): shares structure
-  const std::vector<IndexedEntry> frozen = snapshot.Entries();
+  const std::vector<IndexedEntry> frozen = Entries(snapshot);
 
   // Keep pointers into the snapshot: they must survive any amount of
   // divergence of the original.
-  const auto frozen_span = snapshot.Span(0, snapshot.size());
+  const auto frozen_span = Span(snapshot, 0, snapshot.size());
 
   for (uint32_t i = 0; i < 50; i += 2) {
     index.Remove({std::to_string(i), 0, i});
   }
   for (uint32_t i = 100; i < 140; ++i) {
-    index.Insert({std::to_string(i), 1, i});
+    Insert(&index, {std::to_string(i), 1, i});
   }
 
   EXPECT_EQ(snapshot.size(), 50u);
-  EXPECT_EQ(snapshot.Entries(), frozen);
+  EXPECT_EQ(Entries(snapshot), frozen);
   for (size_t i = 0; i < frozen_span.size(); ++i) {
     EXPECT_EQ(*frozen_span[i], frozen[i]);
   }
@@ -261,10 +299,9 @@ TEST(IndexSnapshotTest, AdvanceLeavesSharedBaseUntouched) {
     inserts[0].push_back({"k" + std::to_string(i), 0, i});
     inserts[1].push_back({"j" + std::to_string(i), 0, i});
   }
-  // Holding a second reference forces copy-on-write.
   IndexSnapshotPtr held = base;
   IndexSnapshotPtr next = IndexSnapshot::Advance(
-      base, std::vector<std::vector<IndexedEntry>>(2), std::move(inserts),
+      *base, std::vector<std::vector<IndexedEntry>>(2), std::move(inserts),
       {}, {});
   EXPECT_EQ(held->window_passes()[0].size(), 0u);
   EXPECT_EQ(next->window_passes()[0].size(), 20u);
@@ -274,8 +311,7 @@ TEST(IndexSnapshotTest, AdvanceLeavesSharedBaseUntouched) {
 TEST(IndexSnapshotTest, BlockIndexClonedOnlyWhenShared) {
   IndexSnapshotPtr snapshot = IndexSnapshot::Empty(0, /*blocking=*/true);
   std::vector<IndexedEntry> inserts = {{"blk", 0, 1}, {"blk", 1, 2}};
-  snapshot =
-      IndexSnapshot::Advance(std::move(snapshot), {}, {}, {}, inserts);
+  snapshot = IndexSnapshot::Advance(*snapshot, {}, {}, {}, inserts);
   const BlockIndex* before = snapshot->block();
   ASSERT_NE(before, nullptr);
   ASSERT_NE(before->Find("blk"), nullptr);
@@ -284,18 +320,10 @@ TEST(IndexSnapshotTest, BlockIndexClonedOnlyWhenShared) {
   IndexSnapshotPtr held = snapshot;
   std::vector<IndexedEntry> removes = {{"blk", 0, 1}};
   IndexSnapshotPtr next =
-      IndexSnapshot::Advance(snapshot, {}, {}, removes, {});
+      IndexSnapshot::Advance(*snapshot, {}, {}, removes, {});
   ASSERT_NE(held->block()->Find("blk"), nullptr);
   EXPECT_EQ(held->block()->Find("blk")->left.size(), 1u);
   EXPECT_EQ(next->block()->Find("blk")->left.size(), 0u);
-
-  // Unshared advance recycles the object (same block pointer, no clone).
-  held.reset();
-  const BlockIndex* recycled_block = next->block();
-  std::vector<IndexedEntry> more = {{"blk2", 0, 3}};
-  next = IndexSnapshot::Advance(std::move(next), {}, {}, {}, more);
-  EXPECT_EQ(next->block(), recycled_block);
-  EXPECT_NE(next->block()->Find("blk2"), nullptr);
 }
 
 // ------------------------------------------------------------ BlockIndex
@@ -321,8 +349,16 @@ struct BlockReference {
   }
 };
 
+size_t NumBlocks(const BlockIndex& index) {
+  size_t n = 0;
+  index.ForEachBlock([&](const std::string&, const BlockIndex::Block&) {
+    ++n;
+  });
+  return n;
+}
+
 void ExpectSameBlocks(const BlockIndex& index, const BlockReference& ref) {
-  ASSERT_EQ(index.num_blocks(), ref.blocks.size());
+  ASSERT_EQ(NumBlocks(index), ref.blocks.size());
   auto it = ref.blocks.begin();
   index.ForEachBlock(
       [&](const std::string& key, const BlockIndex::Block& block) {
@@ -378,7 +414,7 @@ TEST(BlockIndexTest, MutationClonesOnlyTheTouchedBlock) {
   for (uint32_t i = 0; i < 50; ++i) {
     index.Add(0, i, "key" + std::to_string(i % 10));
   }
-  BlockIndex frozen = index;  // flips to persistent mode
+  BlockIndex frozen = index;  // O(1) snapshot
   const BlockIndex::Block* untouched_before = frozen.Find("key3");
   const BlockIndex::Block* touched_before = frozen.Find("key7");
 
@@ -411,8 +447,7 @@ TEST(BlockIndexTest, FrozenSnapshotsExposeNoMutablePath) {
   IndexSnapshotPtr snapshot = IndexSnapshot::Empty(0, /*blocking=*/true);
   std::vector<IndexedEntry> inserts = {{"a", 0, 1}, {"a", 1, 2},
                                        {"b", 0, 3}};
-  snapshot =
-      IndexSnapshot::Advance(std::move(snapshot), {}, {}, {}, inserts);
+  snapshot = IndexSnapshot::Advance(*snapshot, {}, {}, {}, inserts);
   IndexSnapshotPtr frozen = snapshot;
 
   // Hammer the same blocks through several descendant versions.
@@ -422,8 +457,7 @@ TEST(BlockIndexTest, FrozenSnapshotsExposeNoMutablePath) {
     std::vector<IndexedEntry> removes =
         v == 4 ? std::vector<IndexedEntry>{{"a", 1, 2}}
                : std::vector<IndexedEntry>{};
-    snapshot =
-        IndexSnapshot::Advance(std::move(snapshot), {}, {}, removes, more);
+    snapshot = IndexSnapshot::Advance(*snapshot, {}, {}, removes, more);
   }
 
   const BlockIndex::Block* a = frozen->block()->Find("a");
@@ -434,7 +468,7 @@ TEST(BlockIndexTest, FrozenSnapshotsExposeNoMutablePath) {
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(b->left, (std::vector<uint32_t>{3}));
   EXPECT_TRUE(b->right.empty());
-  EXPECT_EQ(frozen->block()->num_blocks(), 2u);
+  EXPECT_EQ(NumBlocks(*frozen->block()), 2u);
   // And the live head really did move on.
   EXPECT_EQ(snapshot->block()->Find("a")->left.size(), 5u);
 }

@@ -157,7 +157,7 @@ TEST_F(FindRcksTest, PaperExample51DeducesTheFourRcks) {
   EXPECT_TRUE(ContainsKey(result.rcks, rck4));
   // The minimized identity key ([FN, LN, tel] || [=,=,=]): the literal
   // pseudocode minimizes γ0 (the paper's Example 5.1 trace keeps Yc/Yb
-  // atomic, see EXPERIMENTS.md).
+  // atomic).
   RelativeKey rck0(
       {C("FN", kEq, "FN"), C("LN", kEq, "LN"), C("tel", kEq, "phn")});
   EXPECT_TRUE(ContainsKey(result.rcks, rck0));

@@ -1,8 +1,8 @@
 // Seeded violation: linted under the pretend path src/match/bad.cc, so
 // the direct candidate/ include below is a layer-DAG back-edge (match is
-// below candidate; the sanctioned spelling is match/block_index.h).
+// below candidate; the sanctioned spelling is match/windowing.h).
 
-#include "candidate/block_index.h"
+#include "candidate/windowing.h"
 #include "match/blocking.h"
 #include "util/status.h"
 

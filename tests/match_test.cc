@@ -1,8 +1,15 @@
 // Tests for the matching substrate: comparison vectors, pair sets,
 // evaluation metrics, key functions, blocking and windowing.
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "api/plan.h"
 #include "datagen/credit_billing.h"
 #include "match/blocking.h"
 #include "match/comparison.h"
@@ -237,12 +244,59 @@ TEST_F(MatchSubstrateTest, BlockingStats) {
   EXPECT_DOUBLE_EQ(stats.avg_block, 3.0);
 }
 
-TEST_F(MatchSubstrateTest, MultiPassBlockingUnions) {
-  KeyFunction by_card({{C("c#", "=", "c#").attrs, false, 0}});
-  KeyFunction by_email({{C("email", "=", "email").attrs, false, 0}});
-  CandidateSet multi =
-      BlockCandidatesMultiPass(ex_.instance, {by_card, by_email});
-  EXPECT_GE(multi.size(), BlockCandidates(ex_.instance, by_card).size());
+// One-shot blocking emits its candidates in a fixed order (executors
+// evaluate them in this order): block-key order, then left position,
+// then right position. The reference groups by std::map.
+TEST(BlockingOrderTest, CandidatesFollowKeyThenPositionOrder) {
+  sim::SimOpRegistry ops = sim::SimOpRegistry::Default();
+  datagen::CreditBillingOptions gen;
+  gen.num_base = 150;
+  gen.seed = 77;
+  const datagen::CreditBillingData data =
+      datagen::GenerateCreditBilling(gen, &ops);
+  api::PlanOptions options;
+  options.candidates = api::PlanOptions::Candidates::kBlocking;
+  auto plan = api::PlanBuilder(data.pair, data.target, &ops)
+                  .WithSigma(data.mds)
+                  .WithOptions(options)
+                  .Build();
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  const Instance& instance = data.instance;
+  for (const KeyFunction& key :
+       {ManualBlockingKey(data.pair), (*plan)->block_key()}) {
+    struct Block {
+      std::vector<uint32_t> left;
+      std::vector<uint32_t> right;
+    };
+    std::map<std::string, Block> reference;
+    for (uint32_t i = 0; i < instance.left().size(); ++i) {
+      reference[key.Render(instance.left().tuple(i), 0)].left.push_back(i);
+    }
+    for (uint32_t i = 0; i < instance.right().size(); ++i) {
+      reference[key.Render(instance.right().tuple(i), 1)].right.push_back(i);
+    }
+    std::vector<std::pair<uint32_t, uint32_t>> expected;
+    size_t total = 0;
+    size_t largest = 0;
+    for (const auto& [rendered, block] : reference) {
+      for (uint32_t l : block.left) {
+        for (uint32_t r : block.right) expected.emplace_back(l, r);
+      }
+      total += block.left.size() + block.right.size();
+      largest = std::max(largest, block.left.size() + block.right.size());
+    }
+    ASSERT_GT(reference.size(), 10u);
+    ASSERT_GT(expected.size(), 100u);
+
+    EXPECT_EQ(BlockCandidates(instance, key).pairs(), expected);
+    const BlockingStats stats = AnalyzeBlocks(instance, key);
+    EXPECT_EQ(stats.num_blocks, reference.size());
+    EXPECT_EQ(stats.largest_block, largest);
+    EXPECT_DOUBLE_EQ(stats.avg_block, static_cast<double>(total) /
+                                          static_cast<double>(
+                                              reference.size()));
+  }
 }
 
 TEST_F(MatchSubstrateTest, WindowCandidatesRespectWindowSize) {

@@ -84,11 +84,10 @@ constexpr const char* kLayers[] = {"util",    "schema", "sim",
                                    "core",    "datagen", "match",
                                    "candidate", "api",  "stream"};
 
-/// match/ forwarding headers over types relocated into candidate/ — the
-/// one sanctioned back-edge (match/blocking.cc and match/fellegi_sunter.cc
-/// reach the relocated types through them).
-constexpr const char* kLayeringExempt[] = {"src/match/block_index.h",
-                                           "src/match/windowing.h"};
+/// The match/ forwarding header over windowing relocated into
+/// candidate/ — the one sanctioned back-edge (match/fellegi_sunter.cc
+/// reaches the relocated functions through it).
+constexpr const char* kLayeringExempt[] = {"src/match/windowing.h"};
 
 /// Frozen types: immutable after construction/publication. An entry with
 /// an empty path_part applies everywhere; otherwise the declaration must

@@ -13,8 +13,9 @@
 //                    publication is a compile-shape property, not a
 //                    convention.
 //   const-escape     No const_cast / const_pointer_cast outside the
-//                    commented allowlist (the uniquely-owned-recycle fast
-//                    paths of the persistent indexes).
+//                    commented allowlist (nodes no published version can
+//                    reach yet: fresh treap batches, the persistent
+//                    trie's current-epoch nodes).
 //   raw-lock         No raw .lock()/.unlock() calls and no direct
 //                    std::mutex / std::condition_variable use — locking
 //                    goes through util::Mutex + util::MutexLock (RAII,
@@ -23,8 +24,8 @@
 //                    shared_ptr factories are allowlisted).
 //   layering         The layer DAG util -> schema -> sim -> core ->
 //                    datagen -> match -> candidate -> api -> stream has
-//                    no back-edges (the match/ forwarding headers over
-//                    relocated candidate/ types are exempt).
+//                    no back-edges (the match/windowing.h forwarding
+//                    header over relocated candidate/ code is exempt).
 //   tsa-escape       NO_THREAD_SAFETY_ANALYSIS carries a justification
 //                    comment on the same or a preceding line.
 //   hot-loop-alloc   No per-iteration container construction
