@@ -1,7 +1,9 @@
 #include "api/plan.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "core/find_rcks.h"
@@ -156,6 +158,12 @@ Result<PlanPtr> PlanBuilder::Build() {
     return Status::InvalidArgument(
         "Fellegi-Sunter plans need a training instance "
         "(WithTrainingInstance) or an injected model (WithFsBasis)");
+  }
+  if (options_.window_size > UINT32_MAX) {
+    // Record positions are uint32_t, so no corpus is wider than this.
+    return Status::InvalidArgument(
+        "window_size " + std::to_string(options_.window_size) + " exceeds " +
+        std::to_string(UINT32_MAX) + ": corpus positions are 32-bit");
   }
   MDMATCH_RETURN_NOT_OK(ValidateSet(pair_, sigma_));
 

@@ -39,7 +39,7 @@ struct PlanOptions {
 
   Matcher matcher = Matcher::kRuleBased;
   Candidates candidates = Candidates::kWindowing;
-  size_t window_size = 10;
+  size_t window_size = 10;  ///< at most UINT32_MAX; Build rejects more
   size_t num_rcks = 10;  ///< m for findRCKs
   size_t top_k = 5;      ///< RCKs used for rules / comparison vector
   size_t key_attrs = 3;  ///< attributes per derived blocking/sort key

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 #include <string_view>
 #include <vector>
@@ -50,6 +51,17 @@ uint64_t ContentChecksum(const std::string& text) {
     first_content = false;
   }
   return hash;
+}
+
+/// Parses a non-negative decimal field. Digits only: std::stoull alone
+/// would accept a leading '-' and wrap it to a huge value.
+std::optional<size_t> ParseCount(const std::string& text) {
+  if (!IsDigits(text)) return std::nullopt;
+  try {
+    return static_cast<size_t>(std::stoull(text));
+  } catch (...) {  // more digits than a size_t holds
+    return std::nullopt;
+  }
 }
 
 std::string ChecksumHex(uint64_t hash) {
@@ -154,11 +166,9 @@ Result<match::KeyFunction> ParseKeyFunction(const std::string& text,
     match::KeyFunction::Element e;
     e.attrs = AttrPair{*left, *right};
     e.soundex = fields[2] == "1";
-    try {
-      e.prefix = static_cast<size_t>(std::stoull(fields[3]));
-    } catch (...) {
-      return Status::ParseError("bad prefix in '" + piece + "'");
-    }
+    const std::optional<size_t> prefix = ParseCount(fields[3]);
+    if (!prefix) return Status::ParseError("bad prefix in '" + piece + "'");
+    e.prefix = *prefix;
     elements.push_back(e);
   }
   return match::KeyFunction(std::move(elements));
@@ -376,14 +386,11 @@ Result<PlanPtr> DeserializePlan(const std::string& text,
         return Status::ParseError("not a mdmatch plan file (bad header)");
       }
       std::string tail = trimmed.substr(std::string(kHeaderPrefix).size());
-      if (!IsDigits(tail)) {
+      const std::optional<size_t> parsed = ParseCount(tail);
+      if (!parsed) {
         return Status::ParseError("not a mdmatch plan file (bad header)");
       }
-      try {
-        version = static_cast<size_t>(std::stoull(tail));
-      } catch (...) {  // more digits than any version number can hold
-        return Status::ParseError("not a mdmatch plan file (bad header)");
-      }
+      version = *parsed;
       if (version == 0 || version > kFormatVersion) {
         return Status::ParseError(
             "plan file format v" + tail + " is newer than this library "
@@ -425,16 +432,12 @@ Result<PlanPtr> DeserializePlan(const std::string& text,
       }
     } else if (key == "window_size" || key == "num_rcks" || key == "top_k" ||
                key == "key_attrs") {
-      size_t parsed = 0;
-      try {
-        parsed = static_cast<size_t>(std::stoull(value));
-      } catch (...) {
-        return bad("bad integer '" + value + "'");
-      }
-      if (key == "window_size") options.window_size = parsed;
-      if (key == "num_rcks") options.num_rcks = parsed;
-      if (key == "top_k") options.top_k = parsed;
-      if (key == "key_attrs") options.key_attrs = parsed;
+      const std::optional<size_t> parsed = ParseCount(value);
+      if (!parsed) return bad("bad integer '" + value + "'");
+      if (key == "window_size") options.window_size = *parsed;
+      if (key == "num_rcks") options.num_rcks = *parsed;
+      if (key == "top_k") options.top_k = *parsed;
+      if (key == "key_attrs") options.key_attrs = *parsed;
     } else if (key == "relax_theta") {
       try {
         options.relax_theta = std::stod(value);

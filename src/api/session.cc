@@ -198,7 +198,7 @@ struct MatchSession::FlushDelta {
   /// the inserted entries, and the removal gaps.
   std::vector<std::vector<size_t>> ranks;
   std::vector<std::vector<size_t>> gaps;
-  match::CandidateSet candidates;
+  match::PairSet candidates;
   SeqPairs new_matches;
   /// Handles of the clusters that lost an edge (removals, updates,
   /// drift) — the ones whose connectivity must be recomputed from the
@@ -460,7 +460,7 @@ void MatchSession::AdvanceIndexesLocked(FlushDelta* delta,
 
 void MatchSession::ScanLocked(FlushDelta* delta, IngestReport* report) {
   ScopedTimer timer(&report->scan_seconds);
-  match::CandidateSet& cand = delta->candidates;
+  match::PairSet& cand = delta->candidates;
   const auto& slots = slots_;
   const auto& pairs = pairs_;
   auto add = [&cand, &slots, &pairs](uint32_t l, uint32_t r) {

@@ -10,16 +10,14 @@ SnResult SortedNeighborhood(const Instance& instance,
                             const std::vector<match::MatchRule>& rules,
                             const SnOptions& options) {
   SnResult result;
-  for (const auto& pass : passes) {
-    match::CandidateSet pass_candidates =
-        WindowCandidates(instance, pass, options.window_size);
-    for (const auto& [l, r] : pass_candidates.pairs()) {
-      if (!result.candidates.Add(l, r)) continue;  // compared in a prior pass
-      ++result.comparisons;
-      if (match::AnyRuleMatches(rules, ops, instance.left().tuple(l),
-                                instance.right().tuple(r))) {
-        result.matches.Add(l, r);
-      }
+  // Each pair comes once, from the first pass whose window covers it.
+  result.candidates =
+      WindowCandidatesMultiPass(instance, passes, options.window_size);
+  for (const auto& [l, r] : result.candidates.pairs()) {
+    ++result.comparisons;
+    if (match::AnyRuleMatches(rules, ops, instance.left().tuple(l),
+                              instance.right().tuple(r))) {
+      result.matches.Add(l, r);
     }
   }
   return result;

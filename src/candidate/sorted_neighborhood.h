@@ -21,7 +21,7 @@ struct SnOptions {
 struct SnResult {
   match::MatchResult matches;      ///< pairs some rule declared a match
   match::CandidateSet candidates;  ///< all cross-relation pairs compared
-  size_t comparisons = 0;  ///< rule evaluations performed (pairs × passes)
+  size_t comparisons = 0;  ///< rule evaluations: one per candidate pair
 };
 
 /// \brief The sorted-neighborhood method: for each pass, merge both

@@ -9,42 +9,38 @@ namespace mdmatch::candidate {
 namespace {
 
 /// Emits every cross-relation pair within `window_size` of each other in
-/// the order `perm` (combined indices, left block first).
+/// the order `perm` (combined indices, left block first), except the pairs
+/// an earlier pass already emitted. `earlier[q][c]` is the position of
+/// combined index c in pass q's order, and pass q emitted a pair exactly
+/// when its records sit less than `window_size` apart there.
 void EmitWindows(const std::vector<uint32_t>& perm, size_t left_size,
-                 size_t window_size, match::CandidateSet* out) {
+                 size_t window_size,
+                 const std::vector<std::vector<uint32_t>>& earlier,
+                 match::CandidateSet* out) {
   const size_t n = perm.size();
+  auto covered = [&](uint32_t a, uint32_t b) {
+    for (const std::vector<uint32_t>& rank : earlier) {
+      const uint32_t ra = rank[a];
+      const uint32_t rb = rank[b];
+      if ((ra > rb ? ra - rb : rb - ra) < window_size) return true;
+    }
+    return false;
+  };
   for (size_t i = 0; i < n; ++i) {
-    const size_t hi = std::min(n, i + window_size);
-    const bool a_right = perm[i] >= left_size;
+    const size_t hi = i + std::min(window_size, n - i);
+    const uint32_t a = perm[i];
+    const bool a_right = a >= left_size;
     for (size_t j = i + 1; j < hi; ++j) {
-      const bool b_right = perm[j] >= left_size;
-      if (a_right == b_right) continue;  // only cross-relation pairs
+      const uint32_t b = perm[j];
+      if ((b >= left_size) == a_right) continue;  // only cross-relation pairs
+      if (covered(a, b)) continue;
       if (a_right) {
-        out->Add(perm[j], perm[i] - static_cast<uint32_t>(left_size));
+        out->Add(b, a - static_cast<uint32_t>(left_size));
       } else {
-        out->Add(perm[i], perm[j] - static_cast<uint32_t>(left_size));
+        out->Add(a, b - static_cast<uint32_t>(left_size));
       }
     }
   }
-}
-
-/// The number of pairs EmitWindows emits for `perm`, duplicates included:
-/// for each entry, the opposite-side entries among the next
-/// `window_size - 1`, read off a running count of right-side entries.
-size_t CountWindowPairs(const std::vector<uint32_t>& perm, size_t left_size,
-                        size_t window_size) {
-  const size_t n = perm.size();
-  std::vector<uint32_t> rights_before(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    rights_before[i + 1] = rights_before[i] + (perm[i] >= left_size ? 1 : 0);
-  }
-  size_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const size_t hi = std::min(n, i + window_size);
-    const size_t rights = rights_before[hi] - rights_before[i + 1];
-    count += perm[i] >= left_size ? (hi - i - 1) - rights : rights;
-  }
-  return count;
 }
 
 }  // namespace
@@ -94,18 +90,14 @@ match::CandidateSet WindowCandidatesMultiPass(
   match::CandidateSet out;
   if (window_size < 2 || keys.empty()) return out;
   const RenderedKeys rendered = RenderPassKeys(instance, keys);
-  // Every pass is sorted before any is emitted, so the set is sized once
-  // for all the pairs the passes emit instead of rehashing as it grows.
-  std::vector<std::vector<uint32_t>> perms;
-  perms.reserve(rendered.keys.size());
-  size_t emitted = 0;
+  // ranks[q][c]: the position of combined index c in pass q's order.
+  std::vector<std::vector<uint32_t>> ranks;
+  ranks.reserve(rendered.keys.size());
   for (const auto& column : rendered.keys) {
-    perms.push_back(SortedKeyPermutation(column));
-    emitted += CountWindowPairs(perms.back(), rendered.left_size, window_size);
-  }
-  out.Reserve(emitted);
-  for (const auto& perm : perms) {
-    EmitWindows(perm, rendered.left_size, window_size, &out);
+    const std::vector<uint32_t> perm = SortedKeyPermutation(column);
+    EmitWindows(perm, rendered.left_size, window_size, ranks, &out);
+    std::vector<uint32_t>& rank = ranks.emplace_back(perm.size());
+    for (uint32_t i = 0; i < perm.size(); ++i) rank[perm[i]] = i;
   }
   return out;
 }

@@ -45,8 +45,8 @@ std::vector<uint32_t> SortedKeyPermutation(
 /// sort by the key, slide a window of `window_size` tuples and emit every
 /// cross-relation pair inside a window.
 ///
-/// The returned candidate set is deduplicated; PC/RR are computed by
-/// EvaluateCandidates.
+/// Each cross pair is emitted once, in window order (by first position,
+/// then second); PC/RR are computed by EvaluateCandidates.
 match::CandidateSet WindowCandidates(const Instance& instance,
                                      const match::KeyFunction& key,
                                      size_t window_size);
@@ -55,6 +55,12 @@ match::CandidateSet WindowCandidates(const Instance& instance,
 /// repeats blocking/windowing "multiple times, each using a different
 /// key"). Keys are rendered once (RenderPassKeys) and each pass sorts one
 /// permutation array — the single-sort front-end.
+///
+/// Each pair is emitted once, by the first pass whose window covers it:
+/// a later pass skips a pair whose records sit less than `window_size`
+/// apart in an earlier pass's order, which two reads of that pass's
+/// inverse permutation tell. No hash set is built, and the pairs and
+/// their order are those a first-insertion dedup over the passes keeps.
 match::CandidateSet WindowCandidatesMultiPass(
     const Instance& instance, const std::vector<match::KeyFunction>& keys,
     size_t window_size);

@@ -1,8 +1,10 @@
 #include "match/clustering.h"
 
+#include <cstdint>
 #include <map>
 #include <numeric>
 #include <utility>
+#include <vector>
 
 namespace mdmatch::match {
 
@@ -49,11 +51,15 @@ Clustering ClusterPairs(const MatchResult& matches, size_t num_left,
   Clustering out;
   out.left_cluster_.assign(nl, 0);
   out.right_cluster_.assign(nr, 0);
-  std::map<size_t, size_t> root_to_cluster;
+  constexpr size_t kUnseen = SIZE_MAX;
+  std::vector<size_t> root_to_cluster(nl + nr, kUnseen);
   auto cluster_id = [&](size_t root) {
-    auto [it, inserted] = root_to_cluster.emplace(root, out.clusters_.size());
-    if (inserted) out.clusters_.emplace_back();
-    return it->second;
+    size_t& id = root_to_cluster[root];
+    if (id == kUnseen) {
+      id = out.clusters_.size();
+      out.clusters_.emplace_back();
+    }
+    return id;
   };
   for (size_t i = 0; i < nl; ++i) {
     size_t c = cluster_id(dsu.Find(i));

@@ -48,6 +48,10 @@ CandidateSet SampleTrainingPairs(const Instance& instance,
   CandidateSet sample;
   if (instance.left().empty() || instance.right().empty()) return sample;
   Rng rng(seed);
+  PairSet drawn;  // a random draw can repeat a pair
+  auto add = [&](uint32_t l, uint32_t r) {
+    if (drawn.Add(l, r)) sample.Add(l, r);
+  };
 
   // Neighbor pairs from a window over the vector's sort key: these are
   // enriched in true matches, which EM needs to identify the match class.
@@ -58,7 +62,7 @@ CandidateSet SampleTrainingPairs(const Instance& instance,
   size_t neighbor_quota = max_pairs / 2;
   for (const auto& [l, r] : shuffled) {
     if (sample.size() >= neighbor_quota) break;
-    sample.Add(l, r);
+    add(l, r);
   }
 
   // Uniform random pairs: overwhelmingly non-matches, anchoring the u
@@ -66,8 +70,8 @@ CandidateSet SampleTrainingPairs(const Instance& instance,
   size_t guard = 0;
   while (sample.size() < max_pairs && guard < 4 * max_pairs) {
     ++guard;
-    sample.Add(static_cast<uint32_t>(rng.Index(instance.left().size())),
-               static_cast<uint32_t>(rng.Index(instance.right().size())));
+    add(static_cast<uint32_t>(rng.Index(instance.left().size())),
+        static_cast<uint32_t>(rng.Index(instance.right().size())));
   }
   return sample;
 }

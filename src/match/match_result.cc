@@ -17,9 +17,4 @@ void PairSet::Merge(const PairSet& other) {
   for (const auto& [l, r] : other.pairs()) Add(l, r);
 }
 
-void PairSet::Reserve(size_t n) {
-  index_.reserve(n);
-  pairs_.reserve(n);
-}
-
 }  // namespace mdmatch::match

@@ -19,8 +19,9 @@ inline constexpr uint64_t PairKey(uint32_t left_index, uint32_t right_index) {
 /// \brief A deduplicated set of cross-relation tuple pairs, addressed by
 /// tuple *positions* (index into instance.left() / instance.right()).
 ///
-/// Used both for declared matches and for candidate pairs produced by
-/// blocking / windowing (whose PC and RR metrics count distinct pairs).
+/// Used for declared matches, which callers probe and merge, and for a
+/// session's candidate scan, which can reach one pair from both of its
+/// records. pairs() keeps first-insertion order.
 class PairSet {
  public:
   /// Adds (left_index, right_index); returns true if newly inserted.
@@ -38,10 +39,6 @@ class PairSet {
   /// Inserts every pair of `other`.
   void Merge(const PairSet& other);
 
-  /// Makes room for `n` pairs, so adding up to `n` never rehashes or
-  /// reallocates.
-  void Reserve(size_t n);
-
  private:
   static uint64_t Key(uint32_t l, uint32_t r) { return PairKey(l, r); }
   std::unordered_set<uint64_t> index_;
@@ -50,8 +47,32 @@ class PairSet {
 
 /// Matches declared by a matcher.
 using MatchResult = PairSet;
-/// Candidate pairs selected for comparison by blocking / windowing.
-using CandidateSet = PairSet;
+
+/// \brief Candidate pairs selected for comparison by blocking / windowing,
+/// in the order the matcher evaluates them.
+///
+/// An index-free list: its producers emit each pair once (windowing skips
+/// a pair an earlier pass already covers, a pair lies in one block, the FS
+/// training sample deduplicates its draws), so PC/RR count distinct pairs
+/// without a hash set.
+class CandidateSet {
+ public:
+  /// Appends (left_index, right_index), which the caller has not added
+  /// before.
+  void Add(uint32_t left_index, uint32_t right_index) {
+    pairs_.emplace_back(left_index, right_index);
+  }
+
+  size_t size() const { return pairs_.size(); }
+  bool empty() const { return pairs_.empty(); }
+
+  const std::vector<std::pair<uint32_t, uint32_t>>& pairs() const {
+    return pairs_;
+  }
+
+ private:
+  std::vector<std::pair<uint32_t, uint32_t>> pairs_;
+};
 
 }  // namespace mdmatch::match
 

@@ -3,6 +3,7 @@
 // concurrent plan reuse across threads, batch execution and streaming.
 
 #include <algorithm>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -254,6 +255,23 @@ TEST_F(ApiPlanTest, RejectsInjectedComparisonVectorWiderThanPatternWord) {
                                std::move(ok_model))
                   .Build();
   EXPECT_TRUE(fits.ok()) << fits.status();
+}
+
+// Regression: a window of -1 read as an unsigned count became SIZE_MAX
+// and aborted one-shot windowing. Positions are uint32_t, so Build
+// rejects any window wider than that before compiling anything.
+TEST_F(ApiPlanTest, RejectsWindowWiderThanAnyCorpus) {
+  for (const size_t window : {SIZE_MAX, size_t{UINT32_MAX} + 1}) {
+    PlanOptions options;
+    options.window_size = window;
+    auto plan = BuildPlan(options);
+    EXPECT_FALSE(plan.ok()) << window;
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument) << window;
+  }
+  PlanOptions widest;
+  widest.window_size = UINT32_MAX;
+  auto plan = BuildPlan(widest);
+  EXPECT_TRUE(plan.ok()) << plan.status();
 }
 
 TEST_F(ApiPlanTest, RejectsEmptyTarget) {

@@ -159,6 +159,32 @@ TEST_F(ApiSessionTest, IncrementalWindowingMatchesOneShotFourThreads) {
   RunIncrementalScenario(*plan, 4);
 }
 
+// The widest window Build accepts covers every cross pair. The session's
+// window arithmetic must not wrap on it: it matches the one-shot run,
+// which compares every pair, across inserts and removals.
+TEST_F(ApiSessionTest, WidestWindowMatchesOneShot) {
+  PlanOptions options;
+  options.window_size = UINT32_MAX;
+  auto plan = BuildPlan(options);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  MatchSession session(*plan);
+  UpsertRange(&session, 0, 40);
+  ASSERT_TRUE(session.Flush().ok());
+  UpsertRange(&session, 40, 80);
+  ASSERT_TRUE(session.Flush().ok());
+  for (size_t i = 0; i < 80; i += 7) {
+    ASSERT_TRUE(session.Remove(1, data_.instance.right().tuple(i).id()).ok());
+  }
+  ASSERT_TRUE(session.Flush().ok());
+
+  const Instance corpus = session.Corpus();
+  auto oneshot = Executor(*plan).Run(corpus);
+  ASSERT_TRUE(oneshot.ok()) << oneshot.status();
+  EXPECT_EQ(oneshot->pairs_compared, corpus.NumPairs());
+  EXPECT_GT(oneshot->matches.size(), 0u);
+  ExpectSessionEqualsOneShot(*plan, session);
+}
+
 TEST_F(ApiSessionTest, IncrementalBlockingMatchesOneShot) {
   PlanOptions options;
   options.candidates = PlanOptions::Candidates::kBlocking;

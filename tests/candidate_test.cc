@@ -2,13 +2,15 @@
 // order-statistic persistent SortedKeyIndex against a flat-vector
 // reference model, snapshot semantics (copies frozen while the original
 // advances), the radix permutation sort against stable_sort, the
-// single-sort windowing front-end, IndexSnapshot advances that leave
-// their base untouched, and IndexCatalog entry sharing.
+// single-sort windowing front-end, the distinct pairs every candidate
+// producer emits, IndexSnapshot advances that leave their base
+// untouched, and IndexCatalog entry sharing.
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -22,8 +24,11 @@
 #include "candidate/indexed_entry.h"
 #include "candidate/snapshot.h"
 #include "candidate/sorted_index.h"
+#include "candidate/sorted_neighborhood.h"
 #include "candidate/windowing.h"
 #include "datagen/credit_billing.h"
+#include "match/blocking.h"
+#include "match/fellegi_sunter.h"
 #include "match/hs_rules.h"
 
 namespace mdmatch::candidate {
@@ -258,7 +263,7 @@ TEST(WindowingFrontEndTest, MatchesLegacySemanticsOnGeneratedData) {
                      [](const Entry& a, const Entry& b) {
                        return a.key < b.key;
                      });
-    match::CandidateSet out;
+    match::PairSet out;
     for (size_t i = 0; i < entries.size(); ++i) {
       const size_t hi = std::min(entries.size(), i + window);
       for (size_t j = i + 1; j < hi; ++j) {
@@ -273,20 +278,104 @@ TEST(WindowingFrontEndTest, MatchesLegacySemanticsOnGeneratedData) {
     return out;
   };
 
-  for (const size_t window : {2u, 5u, 10u}) {
-    match::CandidateSet expected;
-    for (const auto& key : keys) {
-      expected.Merge(reference(key, window));
+  // Pass lists whose windows overlap in every way: a repeated key (its
+  // second pass emits nothing), a constant key (every record ties), five
+  // passes, and windows that span the whole corpus.
+  auto attrs = [&](const char* left, const char* right) {
+    return AttrPair{*data.pair.left().Find(left),
+                    *data.pair.right().Find(right)};
+  };
+  const match::KeyFunction constant;
+  const match::KeyFunction initial({{attrs("FN", "FN"), false, 1}});
+  const size_t corpus = data.instance.left().size() +
+                        data.instance.right().size();
+  struct Case {
+    const char* name;
+    std::vector<match::KeyFunction> keys;
+    std::vector<size_t> windows;
+  };
+  const std::vector<Case> cases = {
+      {"standard keys", keys, {2, 5, 10, corpus, corpus + 7}},
+      {"same key twice", {keys[0], keys[0]}, {2, 10}},
+      {"constant key first", {constant, keys[0]}, {2, 10}},
+      {"constant key last", {keys[1], constant}, {2, 10}},
+      {"five passes",
+       {keys[0], keys[1], keys[2], match::ManualBlockingKey(data.pair),
+        initial},
+       {2, 5, 10, corpus}},
+  };
+  for (const Case& c : cases) {
+    for (const size_t window : c.windows) {
+      match::PairSet expected;
+      for (const auto& key : c.keys) {
+        expected.Merge(reference(key, window));
+      }
+      const match::CandidateSet got =
+          WindowCandidatesMultiPass(data.instance, c.keys, window);
+      // Same pairs in the same order — executors evaluate candidates in
+      // this order, so ordering is part of the bit-identical contract.
+      EXPECT_EQ(got.pairs(), expected.pairs())
+          << c.name << ", window " << window;
     }
-    const match::CandidateSet got =
-        WindowCandidatesMultiPass(data.instance, keys, window);
-    // Same pairs in the same order — executors evaluate candidates in
-    // this order, so ordering is part of the bit-identical contract.
-    EXPECT_EQ(got.pairs(), expected.pairs()) << "window " << window;
   }
+  EXPECT_EQ(WindowCandidatesMultiPass(data.instance, {keys[0], keys[0]}, 10)
+                .pairs(),
+            WindowCandidates(data.instance, keys[0], 10).pairs());
+  EXPECT_EQ(WindowCandidates(data.instance, keys[0], corpus).size(),
+            data.instance.NumPairs());
   EXPECT_EQ(WindowCandidates(data.instance, keys[0], 1).size(), 0u);
   EXPECT_EQ(
       WindowCandidatesMultiPass(data.instance, {}, 10).size(), 0u);
+}
+
+/// Counts the pairs `candidates` holds more than once.
+size_t RepeatedPairs(const match::CandidateSet& candidates) {
+  std::set<std::pair<uint32_t, uint32_t>> seen;
+  size_t repeats = 0;
+  for (const auto& pair : candidates.pairs()) {
+    if (!seen.insert(pair).second) ++repeats;
+  }
+  return repeats;
+}
+
+// CandidateSet keeps no index: every producer must emit each pair once.
+TEST(CandidateSetTest, EveryProducerEmitsDistinctPairs) {
+  sim::SimOpRegistry ops;
+  datagen::CreditBillingOptions gen;
+  gen.num_base = 150;
+  gen.seed = 99;
+  datagen::CreditBillingData data = datagen::GenerateCreditBilling(gen, &ops);
+  const Instance& inst = data.instance;
+  const std::vector<match::KeyFunction> keys =
+      match::StandardWindowKeys(data.pair);
+  const size_t corpus = inst.left().size() + inst.right().size();
+
+  for (const size_t window : {size_t{2}, size_t{10}, corpus}) {
+    const match::CandidateSet windowed =
+        WindowCandidatesMultiPass(inst, keys, window);
+    EXPECT_FALSE(windowed.empty()) << "window " << window;
+    EXPECT_EQ(RepeatedPairs(windowed), 0u) << "window " << window;
+  }
+  EXPECT_EQ(WindowCandidatesMultiPass(inst, keys, corpus).size(),
+            inst.NumPairs());
+
+  const match::CandidateSet blocked =
+      match::BlockCandidates(inst, match::ManualBlockingKey(data.pair));
+  EXPECT_FALSE(blocked.empty());
+  EXPECT_EQ(RepeatedPairs(blocked), 0u);
+
+  const SnResult sn = SortedNeighborhood(
+      inst, ops, keys, match::HernandezStolfoRules(data.pair, &ops));
+  EXPECT_FALSE(sn.candidates.empty());
+  EXPECT_EQ(RepeatedPairs(sn.candidates), 0u);
+  EXPECT_EQ(sn.comparisons, sn.candidates.size());
+
+  // Thousands of uniform draws over 270 x 270 pairs repeat some pairs,
+  // and the sample must drop the repeats.
+  const match::CandidateSet sample = match::SampleTrainingPairs(
+      inst, match::ComparisonVector::AllWithOp(data.target), 10000, 3);
+  EXPECT_FALSE(sample.empty());
+  EXPECT_EQ(RepeatedPairs(sample), 0u);
 }
 
 // -------------------------------------------------------- IndexSnapshot

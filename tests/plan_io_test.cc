@@ -232,6 +232,41 @@ TEST_F(PlanIoTest, AcceptsLegacyV1AndAnnotatedV2Files) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
 }
 
+// A negative window must not wrap to a huge count, and a loaded window
+// passes Build's range check like a compiled one. The oversized case is a
+// v1 file, which has no checksum to stop the edit earlier.
+TEST_F(PlanIoTest, RejectsNegativeAndOversizedWindows) {
+  auto plan = BuildPlan();
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const std::string text = SerializePlan(**plan);
+  auto with_window = [](std::string plan_text, const std::string& value) {
+    const size_t pos =
+        plan_text.find("window_size ") + std::string("window_size ").size();
+    plan_text.replace(pos, plan_text.find('\n', pos) - pos, value);
+    return plan_text;
+  };
+
+  auto negative = DeserializePlan(with_window(text, "-1"), data_.pair,
+                                  data_.target, &ops_);
+  ASSERT_FALSE(negative.ok());
+  EXPECT_EQ(negative.status().code(), StatusCode::kParseError);
+  EXPECT_NE(negative.status().message().find("bad integer '-1'"),
+            std::string::npos)
+      << negative.status();
+
+  std::string v1 = text;
+  v1.replace(0, std::string("mdmatch-plan v2").size(), "mdmatch-plan v1");
+  v1.erase(v1.find("\nchecksum "),
+           v1.find("\nend\n") - v1.find("\nchecksum "));
+  auto oversized = DeserializePlan(with_window(v1, "4294967296"), data_.pair,
+                                   data_.target, &ops_);
+  ASSERT_FALSE(oversized.ok());
+  EXPECT_EQ(oversized.status().code(), StatusCode::kInvalidArgument);
+  auto widest = DeserializePlan(with_window(v1, "4294967295"), data_.pair,
+                                data_.target, &ops_);
+  EXPECT_TRUE(widest.ok()) << widest.status();
+}
+
 TEST_F(PlanIoTest, RejectsGarbage) {
   EXPECT_FALSE(
       DeserializePlan("", data_.pair, data_.target, &ops_).ok());

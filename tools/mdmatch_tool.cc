@@ -181,6 +181,8 @@ class Args {
   size_t FlagNum(const std::string& name, size_t fallback) const {
     std::string v = Flag(name, "");
     if (v.empty()) return fallback;
+    // std::stoull alone would wrap a leading '-' to a huge value.
+    if (!IsDigits(v)) BadValue(name, v);
     try {
       return static_cast<size_t>(std::stoull(v));
     } catch (...) {
