@@ -1,6 +1,8 @@
 // Ablation: EM training budget of the Fellegi-Sunter matcher (the paper
 // trains on "a sample of at most 30k"). Sweeps the pair-sample size and
-// toggles the restart heuristic; reports FSrck match quality.
+// toggles the restart heuristic; reports FSrck match quality. Each cell
+// is an FS plan trained at Build over the RCK-union vector and run by the
+// Executor; the RCKs are deduced once.
 
 #include <cstdio>
 #include <iostream>
@@ -8,8 +10,6 @@
 #include "bench_common.h"
 #include "match/evaluation.h"
 #include "match/fellegi_sunter.h"
-#include "match/hs_rules.h"
-#include "match/windowing.h"
 
 using namespace mdmatch;
 using namespace mdmatch::match;
@@ -21,11 +21,7 @@ int main() {
   gen.seed = 6300;
   datagen::CreditBillingData data = datagen::GenerateCreditBilling(gen, &ops);
 
-  auto deduction = bench::DeduceRcks(data, &ops);
-  ComparisonVector vector = RelaxVectorForMatching(
-      ComparisonVector::UnionOfKeys(deduction.rcks, 5), ops.Dl(0.8));
-  CandidateSet candidates = WindowCandidatesMultiPass(
-      data.instance, StandardWindowKeys(data.pair), 10);
+  const bench::RckDeduction deduction = bench::DeduceRcks(data, &ops);
 
   std::printf("== Ablation: EM sample size and restarts (K = %zu) ==\n",
               gen.num_base);
@@ -33,21 +29,19 @@ int main() {
                      "EM iters", "p-hat"});
   for (size_t sample : {1000, 5000, 30000}) {
     for (size_t restarts : {size_t{1}, size_t{3}}) {
-      FsOptions options;
-      options.max_training_pairs = sample;
-      options.em_restarts = restarts;
-      FellegiSunter fs(vector, options);
-      if (auto st = fs.Train(data.instance, ops); !st.ok()) {
-        std::fprintf(stderr, "train failed: %s\n", st.ToString().c_str());
-        return 1;
-      }
-      MatchQuality q =
-          Evaluate(fs.Match(data.instance, ops, candidates), data.instance);
+      api::PlanOptions options;
+      options.matcher = api::PlanOptions::Matcher::kFellegiSunter;
+      options.fs_options.max_training_pairs = sample;
+      options.fs_options.em_restarts = restarts;
+      auto plan = bench::CompileExperimentPlan(data, &ops, deduction, options);
+      const MatchQuality q =
+          bench::RunPlanOrExit(plan, data.instance).match_quality;
+      const FsModel& model = (*plan)->fs()->model();
       table.AddRow({std::to_string(sample), std::to_string(restarts),
                     TableWriter::Num(100 * q.precision, 1),
                     TableWriter::Num(100 * q.recall, 1),
-                    std::to_string(fs.model().iterations_run),
-                    TableWriter::Num(fs.model().p, 3)});
+                    std::to_string(model.iterations_run),
+                    TableWriter::Num(model.p, 3)});
     }
   }
   table.Print(std::cout);

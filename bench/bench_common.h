@@ -8,11 +8,13 @@
 // (K up to 80k tuples, card(Σ) up to 2000); the default ranges finish in a
 // few minutes on one core.
 
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "api/executor.h"
 #include "api/plan.h"
 #include "core/find_rcks.h"
 #include "core/quality.h"
@@ -110,29 +112,68 @@ inline double TimedSeconds(const std::function<void()>& body) {
   return seconds;
 }
 
-/// Compiles the FSrck / SNrck experiment plan of Exp-2/3: RCKs deduced via
-/// DeduceRcks (options.num_rcks is the m of findRCKs), the *shared*
-/// standard windowing keys injected ("the same set of windowing keys were
-/// used in these experiments to make the evaluation fair"), and — for
-/// rule plans — the cheapest-first relaxed top-k rules of TopRckRules.
-/// The deduction runs here, once; executing the returned plan re-deduces
-/// nothing.
-inline Result<api::PlanPtr> CompileExperimentPlan(
+/// The part every Exp-2/3 plan shares: Σ, the RCKs and quality model of
+/// `deduction` (injected, so Build deduces nothing), the *shared* standard
+/// windowing keys ("the same set of windowing keys were used in these
+/// experiments to make the evaluation fair") and the training instance.
+/// Each arm adds its options and match basis.
+inline api::PlanBuilder ExperimentPlanBuilder(
     const datagen::CreditBillingData& data, sim::SimOpRegistry* ops,
-    api::PlanOptions options, bool relax_rules = true) {
-  RckDeduction deduction = DeduceRcks(data, ops, options.num_rcks);
+    const RckDeduction& deduction) {
   api::PlanBuilder builder(data.pair, data.target, ops);
   builder.WithSigma(data.mds)
       .WithPrecompiledRcks(deduction.rcks)
       .WithQuality(deduction.quality)
       .WithSortKeys(match::StandardWindowKeys(data.pair))
       .WithTrainingInstance(&data.instance, /*estimate_lengths=*/false);
+  return builder;
+}
+
+/// Compiles the FSrck / SNrck experiment plan of Exp-2/3 over an
+/// ExperimentPlanBuilder: for rule plans the basis is the cheapest-first
+/// relaxed top-k rules of TopRckRules; FS plans train EM at Build over
+/// the RCK-union vector.
+inline Result<api::PlanPtr> CompileExperimentPlan(
+    const datagen::CreditBillingData& data, sim::SimOpRegistry* ops,
+    const RckDeduction& deduction, api::PlanOptions options,
+    bool relax_rules = true) {
+  api::PlanBuilder builder = ExperimentPlanBuilder(data, ops, deduction);
   if (options.matcher == api::PlanOptions::Matcher::kRuleBased) {
     builder.WithRules(TopRckRules(deduction.rcks, ops, deduction.quality,
                                   options.top_k, relax_rules));
   }
   builder.WithOptions(std::move(options));
   return builder.Build();
+}
+
+/// As above, with the RCKs deduced here via DeduceRcks (options.num_rcks
+/// is the m of findRCKs). The deduction runs once; executing the returned
+/// plan re-deduces nothing.
+inline Result<api::PlanPtr> CompileExperimentPlan(
+    const datagen::CreditBillingData& data, sim::SimOpRegistry* ops,
+    api::PlanOptions options, bool relax_rules = true) {
+  const RckDeduction deduction = DeduceRcks(data, ops, options.num_rcks);
+  return CompileExperimentPlan(data, ops, deduction, std::move(options),
+                               relax_rules);
+}
+
+/// Executes a compiled experiment plan over `instance`: the figure
+/// benches' one path from a plan to its matches. Exits on a failed Build
+/// or Run.
+inline api::ExecutionReport RunPlanOrExit(const Result<api::PlanPtr>& plan,
+                                          const Instance& instance) {
+  if (!plan.ok()) {
+    std::fprintf(stderr, "plan failed: %s\n",
+                 plan.status().ToString().c_str());
+    std::exit(1);
+  }
+  auto run = api::Executor(*plan).Run(instance);
+  if (!run.ok()) {
+    std::fprintf(stderr, "run failed: %s\n",
+                 run.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(*run);
 }
 
 }  // namespace mdmatch::bench

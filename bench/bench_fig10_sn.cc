@@ -3,24 +3,19 @@
 // five deduced RCKs (SNrck). Shared windowing keys, window size 10
 // (paper Exp-3).
 //
-// SNrck goes through the Plan/Executor API: one compiled plan per
-// dataset, executed over the instance; its reported time is the
-// executor's candidate + match stages — the same span the SN baseline's
-// SortedNeighborhood call covers.
+// Both arms are compiled plans run by the Executor: one plan per arm and
+// dataset, differing only in the rule basis. Each arm's reported time is
+// the executor's candidate + match stages.
 
 #include <cstdio>
 #include <iostream>
 
-#include "api/executor.h"
 #include "bench_common.h"
-#include "candidate/sorted_neighborhood.h"
 #include "match/evaluation.h"
 #include "match/hs_rules.h"
 
 using namespace mdmatch;
 using namespace mdmatch::match;
-using candidate::SnResult;
-using candidate::SortedNeighborhood;
 
 int main() {
   std::printf("== Figure 10(a,b,c): Sorted Neighborhood with vs without "
@@ -35,42 +30,31 @@ int main() {
     datagen::CreditBillingData data =
         datagen::GenerateCreditBilling(gen, &ops);
 
-    auto window_keys = StandardWindowKeys(data.pair);
     auto hs_rules = HernandezStolfoRules(data.pair, &ops);
+    const bench::RckDeduction deduction = bench::DeduceRcks(data, &ops);
 
-    // SNrck: compile once, execute; the plan carries the shared windowing
-    // keys and the top-5 relaxed RCK rules.
-    auto plan =
-        bench::CompileExperimentPlan(data, &ops, api::PlanOptions{});
-    if (!plan.ok()) {
-      std::fprintf(stderr, "plan failed: %s\n",
-                   plan.status().ToString().c_str());
-      return 1;
-    }
-    api::Executor executor(*plan);
-    auto run = executor.Run(data.instance);
-    if (!run.ok()) {
-      std::fprintf(stderr, "run failed: %s\n",
-                   run.status().ToString().c_str());
-      return 1;
-    }
-    MatchQuality q_rck = run->match_quality;
-    double t_rck =
-        run->timings.candidate_seconds + run->timings.match_seconds;
+    // SNrck: the top-5 relaxed RCK rules.
+    const api::ExecutionReport rck = bench::RunPlanOrExit(
+        bench::CompileExperimentPlan(data, &ops, deduction,
+                                     api::PlanOptions{}),
+        data.instance);
+    // SN: the hand-written rules over the same keys and window.
+    const api::ExecutionReport sn = bench::RunPlanOrExit(
+        bench::ExperimentPlanBuilder(data, &ops, deduction)
+            .WithRules(std::move(hs_rules))
+            .Build(),
+        data.instance);
 
-    SnResult sn_result;
-    double t_sn = bench::TimedSeconds([&] {
-      sn_result =
-          SortedNeighborhood(data.instance, ops, window_keys, hs_rules);
-    });
-    MatchQuality q_sn = Evaluate(sn_result.matches, data.instance);
-
-    table.AddRow({std::to_string(k / 1000) + "k",
-                  TableWriter::Num(100 * q_rck.precision, 1),
-                  TableWriter::Num(100 * q_sn.precision, 1),
-                  TableWriter::Num(100 * q_rck.recall, 1),
-                  TableWriter::Num(100 * q_sn.recall, 1),
-                  TableWriter::Num(t_rck, 2), TableWriter::Num(t_sn, 2)});
+    table.AddRow(
+        {std::to_string(k / 1000) + "k",
+         TableWriter::Num(100 * rck.match_quality.precision, 1),
+         TableWriter::Num(100 * sn.match_quality.precision, 1),
+         TableWriter::Num(100 * rck.match_quality.recall, 1),
+         TableWriter::Num(100 * sn.match_quality.recall, 1),
+         TableWriter::Num(
+             rck.timings.candidate_seconds + rck.timings.match_seconds, 2),
+         TableWriter::Num(
+             sn.timings.candidate_seconds + sn.timings.match_seconds, 2)});
   }
   table.Print(std::cout);
   std::printf(

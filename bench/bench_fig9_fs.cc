@@ -4,20 +4,18 @@
 // Both classify the same windowing candidates (window size 10, shared
 // keys), as in the paper's Exp-2.
 //
-// FSrck goes through the Plan/Executor API: the plan (deduction + vector
-// + EM training) is compiled once per dataset and could be executed over
-// any number of batches; the reported time is EM training plus the
-// executor's match stage, mirroring the baseline's Train+Match span.
+// Both arms are compiled plans run by the Executor. FSrck trains EM inside
+// Build; FS selects its vector and trains EM first, then injects them
+// into its plan. Each arm's reported time is EM training (for FS with the
+// vector selection) plus the executor's match stage.
 
 #include <cstdio>
 #include <iostream>
 
-#include "api/executor.h"
 #include "bench_common.h"
 #include "match/evaluation.h"
 #include "match/fellegi_sunter.h"
 #include "match/hs_rules.h"
-#include "match/windowing.h"
 
 using namespace mdmatch;
 using namespace mdmatch::match;
@@ -34,54 +32,47 @@ int main() {
     gen.seed = 1000 + k;
     datagen::CreditBillingData data =
         datagen::GenerateCreditBilling(gen, &ops);
+    const bench::RckDeduction deduction = bench::DeduceRcks(data, &ops);
 
-    auto window_keys = StandardWindowKeys(data.pair);
-    CandidateSet candidates =
-        WindowCandidatesMultiPass(data.instance, window_keys, 10);
-
-    // FSrck: compile the plan once (RCK-union comparison vector, EM
-    // trained inside Build), then execute.
+    // FSrck: the RCK-union comparison vector, EM trained inside Build.
     api::PlanOptions options;
     options.matcher = api::PlanOptions::Matcher::kFellegiSunter;
-    auto plan = bench::CompileExperimentPlan(data, &ops, options);
-    if (!plan.ok()) {
-      std::fprintf(stderr, "plan failed: %s\n",
-                   plan.status().ToString().c_str());
-      return 1;
-    }
-    api::Executor executor(*plan);
-    auto run = executor.Run(data.instance);
-    if (!run.ok()) {
-      std::fprintf(stderr, "run failed: %s\n",
-                   run.status().ToString().c_str());
-      return 1;
-    }
-    MatchQuality q_rck = run->match_quality;
-    double t_rck = (*plan)->compile_stats().train_seconds +
-                   run->timings.match_seconds;
+    auto rck_plan =
+        bench::CompileExperimentPlan(data, &ops, deduction, options);
+    const api::ExecutionReport rck =
+        bench::RunPlanOrExit(rck_plan, data.instance);
+    const double t_rck = (*rck_plan)->compile_stats().train_seconds +
+                         rck.timings.match_seconds;
 
-    // FS baseline: EM-picked vector of the same size. Its timed span
-    // (vector selection + train + match) mirrors t_rck's train + match;
-    // ground-truth evaluation stays outside both.
-    MatchResult fs_matches;
-    double t_fs = bench::TimedSeconds([&] {
-      ComparisonVector em_vector = SelectVectorByEm(
-          data.instance, ops, data.target, ops.Dl(0.8),
-          (*plan)->fs()->vector().size());
+    // FS baseline: an EM-picked vector of the same size, trained here
+    // and injected, so the timed span (vector selection + train) plus
+    // the match stage mirrors t_rck.
+    ComparisonVector em_vector;
+    FsModel em_model;
+    const double t_train = bench::TimedSeconds([&] {
+      em_vector = SelectVectorByEm(data.instance, ops, data.target,
+                                   ops.Dl(0.8),
+                                   (*rck_plan)->fs()->vector().size());
       FellegiSunter fs(em_vector);
       if (auto st = fs.Train(data.instance, ops); !st.ok()) {
         std::fprintf(stderr, "train failed: %s\n", st.ToString().c_str());
         std::exit(1);
       }
-      fs_matches = fs.Match(data.instance, ops, candidates);
+      em_model = fs.model();
     });
-    MatchQuality q_fs = Evaluate(fs_matches, data.instance);
+    const api::ExecutionReport em = bench::RunPlanOrExit(
+        bench::ExperimentPlanBuilder(data, &ops, deduction)
+            .WithOptions(options)
+            .WithFsBasis(std::move(em_vector), std::move(em_model))
+            .Build(),
+        data.instance);
+    const double t_fs = t_train + em.timings.match_seconds;
 
     table.AddRow({std::to_string(k / 1000) + "k",
-                  TableWriter::Num(100 * q_rck.precision, 1),
-                  TableWriter::Num(100 * q_fs.precision, 1),
-                  TableWriter::Num(100 * q_rck.recall, 1),
-                  TableWriter::Num(100 * q_fs.recall, 1),
+                  TableWriter::Num(100 * rck.match_quality.precision, 1),
+                  TableWriter::Num(100 * em.match_quality.precision, 1),
+                  TableWriter::Num(100 * rck.match_quality.recall, 1),
+                  TableWriter::Num(100 * em.match_quality.recall, 1),
                   TableWriter::Num(t_rck, 2), TableWriter::Num(t_fs, 2)});
   }
   table.Print(std::cout);

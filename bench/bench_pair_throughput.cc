@@ -6,9 +6,9 @@
 //   naive:    the pre-compiled-engine path (AnyRuleMatches /
 //             FsModel::IsMatch re-dispatching every conjunct through the
 //             SimOpRegistry),
-//   compiled: MatchPlan::MatchesPair through match::CompiledEvaluator
-//             (deduplicated atom table, selectivity-ordered lazy atoms,
-//             bit-parallel bounded edit distance, per-record profiles)
+//   compiled: match::CompiledEvaluator::Matches over per-record
+//             profiles (deduplicated atom table, selectivity-ordered lazy
+//             atoms, bit-parallel bounded edit distance)
 // — on three workloads: the default rule-based credit/billing corpus,
 // the fig9 Fellegi-Sunter configuration (RCK-union comparison vector)
 // and the top-RCK rules without the θ = 0.8 relaxation of `=`.
@@ -31,7 +31,7 @@
 #include "api/executor.h"
 #include "api/plan.h"
 #include "bench_common.h"
-#include "match/windowing.h"
+#include "candidate/windowing.h"
 #include "sim/edit_distance.h"
 #include "util/string_util.h"
 #include "util/table_writer.h"
@@ -173,7 +173,7 @@ WorkloadResult RunWorkload(const std::string& name,
 
   // The candidate pairs the plan itself would classify (shared standard
   // windowing keys, as in Exp-2/3).
-  match::CandidateSet candidates = match::WindowCandidatesMultiPass(
+  match::CandidateSet candidates = candidate::WindowCandidatesMultiPass(
       data.instance, p.sort_keys(), p.options().window_size);
   const auto& pairs = candidates.pairs();
   result.pairs = pairs.size();
@@ -205,7 +205,7 @@ WorkloadResult RunWorkload(const std::string& name,
     }
   };
 
-  // Naive: exactly what MatchesPair computed before the compiled engine —
+  // Naive: exactly what the plan decided before the compiled engine —
   // per-rule registry dispatch over the seed similarity implementations.
   sim::SimOpRegistry seed_ops = SeedReferenceRegistry(*ops);
   std::vector<Conjunct> basis_conjuncts;
@@ -241,18 +241,15 @@ WorkloadResult RunWorkload(const std::string& name,
   // Compiled: the engine path, per-record profiles included.
   std::vector<match::RecordProfile> profiles[2];
   const match::CompiledEvaluator& evaluator = p.evaluator();
-  if (evaluator.needs_profiles()) {
-    for (int side = 0; side < 2; ++side) {
-      const Relation& rel = side == 0 ? left : right;
-      for (size_t i = 0; i < rel.size(); ++i) {
-        profiles[side].push_back(evaluator.ProfileRecord(rel.tuple(i), side));
-      }
+  for (int side = 0; side < 2; ++side) {
+    const Relation& rel = side == 0 ? left : right;
+    for (size_t i = 0; i < rel.size(); ++i) {
+      profiles[side].push_back(evaluator.ProfileRecord(rel.tuple(i), side));
     }
   }
   auto compiled_eval = [&](uint32_t l, uint32_t r) {
-    return p.MatchesPair(left.tuple(l), right.tuple(r),
-                         profiles[0].empty() ? nullptr : &profiles[0][l],
-                         profiles[1].empty() ? nullptr : &profiles[1][r]);
+    return evaluator.Matches(left.tuple(l), right.tuple(r), profiles[0][l],
+                             profiles[1][r]);
   };
   size_t compiled_matches = 0;
   result.compiled_pps = Throughput(pairs, &compiled_matches, compiled_eval);

@@ -7,14 +7,13 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "candidate/sorted_neighborhood.h"
+#include "candidate/windowing.h"
 #include "match/evaluation.h"
 #include "match/hs_rules.h"
-#include "match/windowing.h"
 
 using namespace mdmatch;
 using namespace mdmatch::match;
-using candidate::SortKeysFromRules;
+using candidate::WindowCandidatesMultiPass;
 
 int main() {
   std::printf("== Exp-4 windowing: PC / RR with RCK vs manual sort keys ==\n");

@@ -8,11 +8,11 @@
 
 #include "api/executor.h"
 #include "api/plan.h"
+#include "candidate/windowing.h"
 #include "datagen/credit_billing.h"
 #include "match/blocking.h"
 #include "match/evaluation.h"
 #include "match/hs_rules.h"
-#include "match/windowing.h"
 
 using namespace mdmatch;
 using namespace mdmatch::match;
@@ -102,8 +102,8 @@ int main() {
   report("rck keys:", window_run->candidate_quality, nullptr);
   report("manual keys:",
          EvaluateCandidates(
-             WindowCandidatesMultiPass(data.instance, manual_keys,
-                                       window_opt.window_size),
+             candidate::WindowCandidatesMultiPass(data.instance, manual_keys,
+                                                  window_opt.window_size),
              data.instance),
          nullptr);
 

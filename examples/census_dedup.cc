@@ -98,7 +98,7 @@ int main() {
   // axioms every operator is reflexive, so "" = "" holds and an
   // equality-on-SSN rule would identify two unrelated records that both
   // lack the value. Standardize or complete missing values before
-  // matching, or veto such pairs with a NegativeRule.
+  // matching.
 
   Instance instance = SelfPair(people);
 

@@ -55,26 +55,21 @@ ExecutionReport Executor::RunChecked(const Instance& batch,
     const auto& pairs = report.candidates.pairs();
     report.pairs_compared = pairs.size();
 
-    // Per-record derived values (phonetic codes, q-gram sets) are columnar
-    // per batch side: computed once per record here instead of once per
-    // candidate pair inside the evaluator.
+    // Per-record derived values (phonetic codes, q-gram sets, edit
+    // signatures) are columnar per batch side: computed once per record
+    // here instead of once per candidate pair inside the evaluator.
     const match::CompiledEvaluator& evaluator = plan.evaluator();
     std::vector<match::RecordProfile> profiles[2];
-    if (evaluator.needs_profiles() && !pairs.empty()) {
-      for (int side = 0; side < 2; ++side) {
-        const Relation& rel = side == 0 ? batch.left() : batch.right();
-        profiles[side].reserve(rel.size());
-        for (size_t i = 0; i < rel.size(); ++i) {
-          profiles[side].push_back(
-              evaluator.ProfileRecord(rel.tuple(i), side));
-        }
+    for (int side = 0; side < 2; ++side) {
+      const Relation& rel = side == 0 ? batch.left() : batch.right();
+      profiles[side].reserve(rel.size());
+      for (size_t i = 0; i < rel.size(); ++i) {
+        profiles[side].push_back(evaluator.ProfileRecord(rel.tuple(i), side));
       }
     }
     auto matches_pair = [&](uint32_t l, uint32_t r) {
-      return plan.MatchesPair(
-          batch.left().tuple(l), batch.right().tuple(r),
-          profiles[0].empty() ? nullptr : &profiles[0][l],
-          profiles[1].empty() ? nullptr : &profiles[1][r]);
+      return evaluator.Matches(batch.left().tuple(l), batch.right().tuple(r),
+                               profiles[0][l], profiles[1][r]);
     };
 
     // Scale workers so each gets at least min_pairs_per_thread pairs;

@@ -1,6 +1,7 @@
 #include "api/plan.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -31,16 +32,6 @@ std::string RenderKeyFunction(const match::KeyFunction& key,
 }
 
 }  // namespace
-
-bool MatchPlan::MatchesPair(const Tuple& left, const Tuple& right) const {
-  return evaluator_.Matches(left, right);
-}
-
-bool MatchPlan::MatchesPair(const Tuple& left, const Tuple& right,
-                            const match::RecordProfile* left_profile,
-                            const match::RecordProfile* right_profile) const {
-  return evaluator_.Matches(left, right, left_profile, right_profile);
-}
 
 std::string MatchPlan::Describe() const {
   std::ostringstream out;
@@ -165,6 +156,14 @@ Result<PlanPtr> PlanBuilder::Build() {
         "window_size " + std::to_string(options_.window_size) + " exceeds " +
         std::to_string(UINT32_MAX) + ": corpus positions are 32-bit");
   }
+  if (!std::isfinite(options_.relax_theta) || options_.relax_theta < 0 ||
+      options_.relax_theta > 1) {
+    // A similarity threshold is a fraction; above 1 the θ-DL edit budget
+    // goes negative.
+    return Status::InvalidArgument(
+        "relax_theta " + std::to_string(options_.relax_theta) +
+        " is not a similarity threshold in [0, 1]");
+  }
   MDMATCH_RETURN_NOT_OK(ValidateSet(pair_, sigma_));
 
   // MatchPlan's constructor is private (builder-only construction), so
@@ -242,6 +241,12 @@ Result<PlanPtr> PlanBuilder::Build() {
           plan->rules_ = match::RelaxRulesForMatching(
               plan->rules_, ops_->Dl(options_.relax_theta));
         }
+      }
+      if (plan->rules_.size() > match::CompiledEvaluator::kMaxRules) {
+        return Status::InvalidArgument(
+            std::to_string(plan->rules_.size()) + " match rules exceed the " +
+            std::to_string(match::CompiledEvaluator::kMaxRules) +
+            " a compiled rule mask holds");
       }
     }
   }

@@ -114,22 +114,12 @@ class MatchPlan {
   /// The compiled per-pair decision kernel: the plan's rules (or FS
   /// comparison vector) flattened into a deduplicated atom table at Build
   /// time, with per-atom selectivity seeded from the training sample when
-  /// one was supplied. MatchesPair runs through it; callers that can
-  /// amortize per-record derived values (Executor batches, MatchSession
-  /// records) use it directly via ProfileRecord.
+  /// one was supplied. Its Matches, over both records' ProfileRecord, is
+  /// the single per-pair decision the Executor's match stage and the
+  /// MatchSession's incremental flush both consult. Deterministic,
+  /// thread-safe and decision-equivalent to evaluating the rules / FS
+  /// model naively — the compiled path changes cost only.
   const match::CompiledEvaluator& evaluator() const { return evaluator_; }
-
-  /// Applies the plan's match basis (relaxed rules or the trained FS
-  /// model) to one tuple pair. Deterministic and thread-safe; the single
-  /// per-pair decision the Executor's match stage and the MatchSession's
-  /// incremental flush both consult. Decision-equivalent to evaluating the
-  /// rules / FS model naively — the compiled path changes cost only.
-  bool MatchesPair(const Tuple& left, const Tuple& right) const;
-
-  /// MatchesPair over precomputed record profiles (either may be null).
-  bool MatchesPair(const Tuple& left, const Tuple& right,
-                   const match::RecordProfile* left_profile,
-                   const match::RecordProfile* right_profile) const;
 
   /// Human-readable multi-line summary (RCKs, derived keys, matcher).
   std::string Describe() const;
@@ -221,8 +211,10 @@ class PlanBuilder {
                            match::FsModel model);
 
   /// Compiles the plan. Fails when Σ is invalid for the schema pair, the
-  /// target is empty, no RCK can be deduced, or an FS plan has neither a
-  /// training instance nor an injected model.
+  /// target is empty, relax_theta is not in [0, 1], no RCK can be
+  /// deduced, a rule plan has more than CompiledEvaluator::kMaxRules
+  /// rules, or an FS plan has neither a training instance nor an injected
+  /// model.
   Result<PlanPtr> Build();
 
  private:

@@ -86,48 +86,59 @@ Result<std::string> ReadTextFile(const std::string& path) {
 }
 
 /// Resolves a serialized operator name, re-registering the standard
-/// parameterized operators ("dl@0.80", "jaro@0.85", ...) when the registry
-/// does not hold them yet.
+/// parameterized operators ("dl@0.80", "jaro@0.85", "lev2", ...) when the
+/// registry does not hold them yet. Thresholds must lie in [0, 1] and
+/// counts are digits only, so no out-of-range parameter is registered.
 Result<sim::SimOpId> ResolveOp(sim::SimOpRegistry* ops,
                                const std::string& name) {
   if (auto found = ops->Find(name); found.ok()) return *found;
-  auto param = [&](const char* prefix) -> Result<double> {
-    std::string tail = name.substr(std::string(prefix).size());
+  auto bad = [&] {
+    return Status::ParseError("bad operator parameter in '" + name + "'");
+  };
+  auto threshold = [&](std::string_view prefix) -> Result<double> {
+    double v = 0;
     try {
-      return std::stod(tail);
+      v = std::stod(name.substr(prefix.size()));
     } catch (...) {
-      return Status::ParseError("bad operator parameter in '" + name + "'");
+      return bad();
     }
+    if (!(v >= 0 && v <= 1)) return bad();  // NaN fails both tests
+    return v;
+  };
+  auto count = [&](std::string_view prefix) -> Result<size_t> {
+    const std::optional<size_t> v = ParseCount(name.substr(prefix.size()));
+    if (!v) return bad();
+    return *v;
   };
   if (StartsWith(name, "dl@")) {
-    auto v = param("dl@");
+    auto v = threshold("dl@");
     if (!v.ok()) return v.status();
     return ops->Dl(*v);
   }
   if (StartsWith(name, "jaro@")) {
-    auto v = param("jaro@");
+    auto v = threshold("jaro@");
     if (!v.ok()) return v.status();
     return ops->Jaro(*v);
   }
   if (StartsWith(name, "jw@")) {
-    auto v = param("jw@");
+    auto v = threshold("jw@");
     if (!v.ok()) return v.status();
     return ops->JaroWinkler(*v);
   }
   if (StartsWith(name, "qgram2@")) {
-    auto v = param("qgram2@");
+    auto v = threshold("qgram2@");
     if (!v.ok()) return v.status();
     return ops->QGramJaccard2(*v);
   }
   if (StartsWith(name, "lev")) {
-    auto v = param("lev");
+    auto v = count("lev");
     if (!v.ok()) return v.status();
-    return ops->Levenshtein(static_cast<size_t>(*v));
+    return ops->Levenshtein(*v);
   }
   if (StartsWith(name, "prefix")) {
-    auto v = param("prefix");
+    auto v = count("prefix");
     if (!v.ok()) return v.status();
-    return ops->PrefixEq(static_cast<size_t>(*v));
+    return ops->PrefixEq(*v);
   }
   if (name == "soundex") return ops->SoundexEq();
   if (name == "nysiis") return ops->NysiisEq();
@@ -342,14 +353,19 @@ Result<PlanPtr> DeserializePlan(const std::string& text,
 
   // The MD parser requires every named operator to be registered already,
   // so pre-register the standard parameterized operators appearing as
-  // "~name" tokens anywhere in the file (unknown tokens are left for the
-  // parser to report in context).
+  // "~name" tokens on the file's non-comment lines (unknown or malformed
+  // tokens are left for the parser to report in context).
   {
     std::istringstream scan(text);
-    std::string token;
-    while (scan >> token) {
-      if (token.size() > 1 && token[0] == '~') {
-        (void)ResolveOp(ops, token.substr(1));
+    std::string line;
+    while (std::getline(scan, line)) {
+      if (StartsWith(Trim(line), "#")) continue;
+      std::istringstream tokens(line);
+      std::string token;
+      while (tokens >> token) {
+        if (token.size() > 1 && token[0] == '~') {
+          (void)ResolveOp(ops, token.substr(1));
+        }
       }
     }
   }

@@ -252,9 +252,7 @@ SessionRecordPtr MatchSession::MakeRecord(Tuple tuple, int side,
   } else {
     record->keys.push_back(plan_->block_key().Render(tuple, side));
   }
-  if (plan_->evaluator().needs_profiles()) {
-    record->profile = plan_->evaluator().ProfileRecord(tuple, side);
-  }
+  record->profile = plan_->evaluator().ProfileRecord(tuple, side);
   record->tuple = std::move(tuple);
   return record;
 }
@@ -776,12 +774,12 @@ void MatchSession::EvaluatePairs(const SeqPairs& pairs, SeqPairs* out,
   // table frozen while the workers read it; a lambda body is outside the
   // analysis, so it reads through aliases bound here.
   const auto& slots = slots_;
-  const MatchPlan& plan = *plan_;
-  auto eval = [&slots, &plan](uint32_t l, uint32_t r) {
+  const match::CompiledEvaluator& evaluator = plan_->evaluator();
+  auto eval = [&slots, &evaluator](uint32_t l, uint32_t r) {
     const Record& left = *slots[0][l].record;
     const Record& right = *slots[1][r].record;
-    return plan.MatchesPair(left.tuple, right.tuple, &left.profile,
-                            &right.profile);
+    return evaluator.Matches(left.tuple, right.tuple, left.profile,
+                             right.profile);
   };
   size_t workers = options_.num_threads;
   if (options_.min_pairs_per_thread > 0) {

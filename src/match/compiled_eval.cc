@@ -8,7 +8,6 @@
 #include "sim/edit_distance.h"
 #include "sim/jaro.h"
 #include "sim/phonetic.h"
-#include "sim/qgram.h"
 
 namespace mdmatch::match {
 
@@ -72,7 +71,7 @@ int CompiledEvaluator::CostRank(const sim::SimOpInfo& info) {
       return 1;
     case sim::SimOpKind::kSoundex:
     case sim::SimOpKind::kNysiis:
-      return 2;  // code compare once profiles exist
+      return 2;  // code compare over the profiles
     case sim::SimOpKind::kJaro:
     case sim::SimOpKind::kJaroWinkler:
       return 3;
@@ -114,18 +113,11 @@ void CompiledEvaluator::AddConjunct(const Conjunct& conjunct, size_t origin,
 
 CompiledEvaluator CompiledEvaluator::ForRules(
     const std::vector<MatchRule>& rules, const sim::SimOpRegistry& ops) {
+  assert(rules.size() <= kMaxRules && "rule set too large for rule masks");
   CompiledEvaluator eval;
   eval.mode_ = Mode::kRules;
   eval.ops_ = &ops;
   eval.num_rules_ = rules.size();
-  if (rules.size() > 64) {
-    eval.fallback_rules_ = rules;
-    for (const MatchRule& rule : rules) {
-      eval.conjunct_count_ += rule.elements().size();
-      if (rule.elements().empty()) eval.always_match_ = true;
-    }
-    return eval;
-  }
   for (size_t r = 0; r < rules.size(); ++r) {
     if (rules[r].elements().empty()) eval.always_match_ = true;
     for (const Conjunct& conjunct : rules[r].elements()) {
@@ -263,8 +255,12 @@ void CompiledEvaluator::SeedSelectivity(const Instance& instance,
   for (const auto& [l, r] : sample.pairs()) {
     const Tuple& left = instance.left().tuple(l);
     const Tuple& right = instance.right().tuple(r);
+    const RecordProfile left_profile = ProfileRecord(left, 0);
+    const RecordProfile right_profile = ProfileRecord(right, 1);
     for (size_t i = 0; i < atoms_.size(); ++i) {
-      if (EvalAtom(atoms_[i], left, right, nullptr, nullptr)) ++agree[i];
+      if (EvalAtom(atoms_[i], left, right, left_profile, right_profile)) {
+        ++agree[i];
+      }
     }
   }
   for (size_t i = 0; i < atoms_.size(); ++i) {
@@ -295,16 +291,15 @@ RecordProfile CompiledEvaluator::ProfileRecord(const Tuple& tuple,
 
 bool CompiledEvaluator::EvalAtom(const Atom& atom, const Tuple& left,
                                  const Tuple& right,
-                                 const RecordProfile* left_profile,
-                                 const RecordProfile* right_profile) const {
+                                 const RecordProfile& left_profile,
+                                 const RecordProfile& right_profile) const {
   // Edit-distance atoms consult the profiles before the tuples: the stored
   // lengths give the budget and the signature bound rejects most pairs
   // without reading either string. Equal values have bound 0, so every
   // pair the a == b short-circuit below accepts gets past this check.
-  if (atom.sig_slot[0] >= 0 && left_profile != nullptr &&
-      right_profile != nullptr) {
-    const sim::EditSignature& sa = left_profile->signatures[atom.sig_slot[0]];
-    const sim::EditSignature& sb = right_profile->signatures[atom.sig_slot[1]];
+  if (atom.sig_slot[0] >= 0) {
+    const sim::EditSignature& sa = left_profile.signatures[atom.sig_slot[0]];
+    const sim::EditSignature& sb = right_profile.signatures[atom.sig_slot[1]];
     const size_t budget =
         atom.info.kind == sim::SimOpKind::kDl
             ? sim::DlEditBudget(atom.info.threshold,
@@ -334,21 +329,13 @@ bool CompiledEvaluator::EvalAtom(const Atom& atom, const Tuple& left,
              std::string_view(b).substr(0, std::min(k, b.size()));
     }
     case sim::SimOpKind::kSoundex:
-    case sim::SimOpKind::kNysiis: {
-      if (left_profile != nullptr && right_profile != nullptr) {
-        return left_profile->codes[atom.code_slot[0]] ==
-               right_profile->codes[atom.code_slot[1]];
-      }
-      return PhoneticCode(atom.info.kind, a) == PhoneticCode(atom.info.kind, b);
-    }
-    case sim::SimOpKind::kQGram2: {
-      if (left_profile != nullptr && right_profile != nullptr) {
-        return GramSetJaccard(left_profile->grams[atom.gram_slot[0]],
-                              right_profile->grams[atom.gram_slot[1]]) >=
-               atom.info.threshold;
-      }
-      return sim::QGramJaccard(a, b, 2) >= atom.info.threshold;
-    }
+    case sim::SimOpKind::kNysiis:
+      return left_profile.codes[atom.code_slot[0]] ==
+             right_profile.codes[atom.code_slot[1]];
+    case sim::SimOpKind::kQGram2:
+      return GramSetJaccard(left_profile.grams[atom.gram_slot[0]],
+                            right_profile.grams[atom.gram_slot[1]]) >=
+             atom.info.threshold;
     case sim::SimOpKind::kEquality:
     case sim::SimOpKind::kCustom:
       // Eval's wrapped predicate also short-circuits a == b, so reaching it
@@ -359,16 +346,13 @@ bool CompiledEvaluator::EvalAtom(const Atom& atom, const Tuple& left,
 }
 
 bool CompiledEvaluator::MatchesRules(const Tuple& left, const Tuple& right,
-                                     const RecordProfile* left_profile,
-                                     const RecordProfile* right_profile) const {
+                                     const RecordProfile& left_profile,
+                                     const RecordProfile& right_profile) const {
   if (always_match_) return true;
-  if (!fallback_rules_.empty()) {
-    return AnyRuleMatches(fallback_rules_, *ops_, left, right);
-  }
   if (num_rules_ == 0) return false;
-  uint64_t alive = num_rules_ == 64 ? ~uint64_t{0}
-                                    : (uint64_t{1} << num_rules_) - 1;
-  uint16_t pending[64];
+  uint64_t alive = num_rules_ == kMaxRules ? ~uint64_t{0}
+                                           : (uint64_t{1} << num_rules_) - 1;
+  uint16_t pending[kMaxRules];
   for (size_t r = 0; r < num_rules_; ++r) pending[r] = rule_sizes_[r];
   for (const Atom& atom : atoms_) {
     const uint64_t needed = atom.rules & alive;
@@ -397,8 +381,8 @@ double CompiledEvaluator::ScorePattern(uint32_t pattern) const {
 }
 
 bool CompiledEvaluator::MatchesFs(const Tuple& left, const Tuple& right,
-                                  const RecordProfile* left_profile,
-                                  const RecordProfile* right_profile) const {
+                                  const RecordProfile& left_profile,
+                                  const RecordProfile& right_profile) const {
   uint32_t agree = 0;
   uint32_t unknown =
       fs_width_ >= 32 ? ~uint32_t{0} : (uint32_t{1} << fs_width_) - 1;
@@ -424,8 +408,8 @@ bool CompiledEvaluator::MatchesFs(const Tuple& left, const Tuple& right,
 }
 
 bool CompiledEvaluator::Matches(const Tuple& left, const Tuple& right,
-                                const RecordProfile* left_profile,
-                                const RecordProfile* right_profile) const {
+                                const RecordProfile& left_profile,
+                                const RecordProfile& right_profile) const {
   switch (mode_) {
     case Mode::kNone:
       return false;

@@ -56,8 +56,13 @@ class CompiledEvaluator {
   /// ForFs.
   CompiledEvaluator() = default;
 
+  /// Rule masks are one machine word, so a rule basis holds at most
+  /// this many rules (PlanBuilder::Build rejects larger ones).
+  static constexpr size_t kMaxRules = 64;
+
   /// Compiles a rule-based basis: dedup the conjuncts of `rules` into the
-  /// atom table, rules become masks. `ops` must outlive the evaluator.
+  /// atom table, rules become masks. At most kMaxRules rules (asserted).
+  /// `ops` must outlive the evaluator.
   static CompiledEvaluator ForRules(const std::vector<MatchRule>& rules,
                                     const sim::SimOpRegistry& ops);
 
@@ -79,28 +84,16 @@ class CompiledEvaluator {
   void SeedSelectivity(const Instance& instance, size_t max_pairs,
                        uint64_t seed);
 
-  /// True when some atom has per-record derived values worth precomputing
-  /// (phonetic codes, q-gram sets, edit signatures). When false,
-  /// ProfileRecord returns an empty profile and passing profiles is
-  /// pointless.
-  bool needs_profiles() const {
-    return !code_slots_[0].empty() || !code_slots_[1].empty() ||
-           !gram_slots_[0].empty() || !gram_slots_[1].empty() ||
-           !sig_slots_[0].empty() || !sig_slots_[1].empty();
-  }
-
   /// Derived values of one record; `side` 0 = left relation, 1 = right.
+  /// An evaluator without profile slots returns three empty vectors,
+  /// which allocate nothing.
   RecordProfile ProfileRecord(const Tuple& tuple, int side) const;
 
-  /// The per-pair decision, computing derived values on the fly.
-  bool Matches(const Tuple& left, const Tuple& right) const {
-    return Matches(left, right, nullptr, nullptr);
-  }
-
-  /// The per-pair decision over precomputed profiles (either may be null).
+  /// The per-pair decision. Both profiles must come from this
+  /// evaluator's ProfileRecord, of `left` on side 0 and `right` on side 1.
   bool Matches(const Tuple& left, const Tuple& right,
-               const RecordProfile* left_profile,
-               const RecordProfile* right_profile) const;
+               const RecordProfile& left_profile,
+               const RecordProfile& right_profile) const;
 
   /// Unique atoms in the table (0 for an empty evaluator).
   size_t atom_count() const { return atoms_.size(); }
@@ -137,15 +130,15 @@ class CompiledEvaluator {
   void SortAtoms();
 
   bool EvalAtom(const Atom& atom, const Tuple& left, const Tuple& right,
-                const RecordProfile* left_profile,
-                const RecordProfile* right_profile) const;
+                const RecordProfile& left_profile,
+                const RecordProfile& right_profile) const;
 
   bool MatchesRules(const Tuple& left, const Tuple& right,
-                    const RecordProfile* left_profile,
-                    const RecordProfile* right_profile) const;
+                    const RecordProfile& left_profile,
+                    const RecordProfile& right_profile) const;
   bool MatchesFs(const Tuple& left, const Tuple& right,
-                 const RecordProfile* left_profile,
-                 const RecordProfile* right_profile) const;
+                 const RecordProfile& left_profile,
+                 const RecordProfile& right_profile) const;
 
   /// Score of a complete agreement pattern, summed in vector-element order
   /// exactly like FellegiSunter::ScorePattern (bit-identical decisions).
@@ -160,9 +153,6 @@ class CompiledEvaluator {
   size_t num_rules_ = 0;
   std::vector<uint16_t> rule_sizes_;  ///< atoms per rule (pending counts)
   bool always_match_ = false;         ///< some rule has no conjuncts
-  /// Rule masks are one machine word; the (absurd) >64-rule case keeps the
-  /// rules verbatim and evaluates them naively.
-  std::vector<MatchRule> fallback_rules_;
 
   // FS mode.
   size_t fs_width_ = 0;

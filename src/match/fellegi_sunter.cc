@@ -4,8 +4,10 @@
 #include <cmath>
 #include <unordered_map>
 
+// The training sample windows the instance over the vector's sort key.
+// mdmatch-lint: allow(layering) windowing lives one layer up, in candidate/
+#include "candidate/windowing.h"
 #include "match/key_function.h"
-#include "match/windowing.h"
 #include "util/random.h"
 
 namespace mdmatch::match {
@@ -56,7 +58,7 @@ CandidateSet SampleTrainingPairs(const Instance& instance,
   // Neighbor pairs from a window over the vector's sort key: these are
   // enriched in true matches, which EM needs to identify the match class.
   CandidateSet neighbors =
-      WindowCandidates(instance, VectorSortKey(vector), 6);
+      candidate::WindowCandidates(instance, VectorSortKey(vector), 6);
   std::vector<std::pair<uint32_t, uint32_t>> shuffled = neighbors.pairs();
   rng.Shuffle(&shuffled);
   size_t neighbor_quota = max_pairs / 2;
@@ -229,20 +231,6 @@ double FellegiSunter::Threshold() const {
 bool FellegiSunter::IsMatch(const sim::SimOpRegistry& ops, const Tuple& left,
                             const Tuple& right) const {
   return Score(ops, left, right) >= Threshold();
-}
-
-MatchResult FellegiSunter::Match(const Instance& instance,
-                                 const sim::SimOpRegistry& ops,
-                                 const CandidateSet& candidates) const {
-  MatchResult result;
-  const double threshold = Threshold();
-  for (const auto& [l, r] : candidates.pairs()) {
-    if (Score(ops, instance.left().tuple(l), instance.right().tuple(r)) >=
-        threshold) {
-      result.Add(l, r);
-    }
-  }
-  return result;
 }
 
 ComparisonVector SelectVectorByEm(const Instance& instance,

@@ -75,10 +75,6 @@ class FellegiSunter {
   /// The decision threshold in effect (explicit or MAP).
   double Threshold() const;
 
-  /// Classifies every candidate pair.
-  MatchResult Match(const Instance& instance, const sim::SimOpRegistry& ops,
-                    const CandidateSet& candidates) const;
-
  private:
   ComparisonVector vector_;
   FsOptions options_;

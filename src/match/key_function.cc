@@ -36,6 +36,19 @@ KeyFunction KeyFunction::FromKeyElementsByCost(
                          soundex_domains);
 }
 
+std::vector<KeyFunction> SortKeysFromRules(
+    const std::vector<RelativeKey>& rules, const SchemaPair& pair,
+    size_t max_passes, size_t max_elems) {
+  std::vector<KeyFunction> keys;
+  for (const auto& rule : rules) {
+    if (keys.size() >= max_passes) break;
+    if (rule.empty()) continue;
+    keys.push_back(KeyFunction::FromKeyElements(rule, pair, max_elems,
+                                                {"fname", "lname", "name"}));
+  }
+  return keys;
+}
+
 std::string KeyFunction::Render(const Tuple& tuple, int side) const {
   std::string out;
   std::string encoded;

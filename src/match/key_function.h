@@ -58,6 +58,14 @@ class KeyFunction {
   std::vector<Element> elements_;
 };
 
+/// Derives one sort key per rule/RCK from its first `max_elems` elements
+/// (name-domain attributes Soundex-encoded), at most `max_passes` keys,
+/// for use as windowing passes — the "(part of) RCKs suffice to serve as
+/// quality sorting keys" usage of the paper. Empty rules are skipped.
+std::vector<KeyFunction> SortKeysFromRules(
+    const std::vector<RelativeKey>& rules, const SchemaPair& pair,
+    size_t max_passes, size_t max_elems = 3);
+
 }  // namespace mdmatch::match
 
 #endif  // MDMATCH_MATCH_KEY_FUNCTION_H_

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -283,6 +284,7 @@ double NormalizedDamerauLevenshtein(std::string_view a, std::string_view b) {
 }
 
 size_t DlEditBudget(double theta, size_t longest) {
+  assert(theta >= 0 && theta <= 1 && "similarity threshold outside [0, 1]");
   // The epsilon absorbs binary-representation error in (1 - theta): at
   // theta = 0.8 and length 5 the allowance must be exactly 1.0 edit, not
   // 0.9999999999999998.

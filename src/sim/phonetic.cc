@@ -100,9 +100,9 @@ std::string Nysiis(std::string_view name) {
   key.push_back(s[0]);
   for (size_t i = 1; i < s.size(); ++i) {
     char c = s[i];
-    // mdmatch-lint: allow(hot-loop-alloc) repl is at most 3 chars — SSO,
-    // never touches the heap
-    std::string repl(1, c);
+    // A view of one character of `s` (which the loop does not modify) or
+    // of a literal: no string is built per character.
+    std::string_view repl(&s[i], 1);
     if (is_vowel(c)) {
       if (c == 'E' && i + 1 < s.size() && s[i + 1] == 'V') {
         repl = "AF";
@@ -127,9 +127,9 @@ std::string Nysiis(std::string_view name) {
     } else if (c == 'H') {
       bool prev_vowel = is_vowel(s[i - 1]);
       bool next_vowel = i + 1 < s.size() && is_vowel(s[i + 1]);
-      if (!prev_vowel || !next_vowel) repl.assign(1, s[i - 1]);
+      if (!prev_vowel || !next_vowel) repl = std::string_view(&s[i - 1], 1);
     } else if (c == 'W' && is_vowel(s[i - 1])) {
-      repl.assign(1, s[i - 1]);
+      repl = std::string_view(&s[i - 1], 1);
     }
     for (char rc : repl) {
       if (key.empty() || key.back() != rc) key.push_back(rc);

@@ -3,6 +3,7 @@
 // concurrent plan reuse across threads, batch execution and streaming.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -257,6 +258,49 @@ TEST_F(ApiPlanTest, RejectsInjectedComparisonVectorWiderThanPatternWord) {
   EXPECT_TRUE(fits.ok()) << fits.status();
 }
 
+// Rule masks are one 64-bit word: Build rejects a 65th rule. At exactly 64
+// every mask bit is in use, and the plan still decides each candidate
+// like the rules evaluated one by one.
+TEST_F(ApiPlanTest, RejectsMoreRulesThanOneRuleMaskHolds) {
+  auto base = BuildPlan();
+  ASSERT_TRUE(base.ok()) << base.status();
+  const ComparableLists& target = data_.target;
+  const sim::SimOpId dl = ops_.Dl(0.8);
+  std::vector<match::MatchRule> rules;
+  for (size_t i = 0; i < 65; ++i) {
+    rules.push_back(RelativeKey(
+        {Conjunct{target.pair_at(i % target.size()), dl},
+         Conjunct{target.pair_at((i / target.size() + i + 1) % target.size()),
+                  sim::SimOpRegistry::kEq}}));
+  }
+  auto build = [&](std::vector<match::MatchRule> injected) {
+    return PlanBuilder(data_.pair, data_.target, &ops_)
+        .WithSigma(data_.mds)
+        .WithPrecompiledRcks((*base)->rcks())
+        .WithRules(std::move(injected))
+        .Build();
+  };
+  auto too_many = build(rules);
+  EXPECT_FALSE(too_many.ok());
+  EXPECT_EQ(too_many.status().code(), StatusCode::kInvalidArgument);
+
+  rules.pop_back();
+  auto full = build(rules);
+  ASSERT_TRUE(full.ok()) << full.status();
+  auto run = Executor(*full).Run(data_.instance);
+  ASSERT_TRUE(run.ok()) << run.status();
+  size_t matches = 0;
+  for (const auto& [l, r] : run->candidates.pairs()) {
+    const bool naive =
+        match::AnyRuleMatches(rules, ops_, data_.instance.left().tuple(l),
+                              data_.instance.right().tuple(r));
+    EXPECT_EQ(run->matches.Contains(l, r), naive) << l << ", " << r;
+    if (naive) ++matches;
+  }
+  EXPECT_GT(matches, 0u);
+  EXPECT_LT(matches, run->candidates.size());
+}
+
 // Regression: a window of -1 read as an unsigned count became SIZE_MAX
 // and aborted one-shot windowing. Positions are uint32_t, so Build
 // rejects any window wider than that before compiling anything.
@@ -272,6 +316,24 @@ TEST_F(ApiPlanTest, RejectsWindowWiderThanAnyCorpus) {
   widest.window_size = UINT32_MAX;
   auto plan = BuildPlan(widest);
   EXPECT_TRUE(plan.ok()) << plan.status();
+}
+
+// A similarity threshold is a fraction: above 1 the θ-DL edit budget
+// goes negative. 0 still turns relaxation off.
+TEST_F(ApiPlanTest, RejectsRelaxThetaOutsideUnitInterval) {
+  for (const double theta : {1.5, -0.1, std::nan("")}) {
+    PlanOptions options;
+    options.relax_theta = theta;
+    auto plan = BuildPlan(options);
+    EXPECT_FALSE(plan.ok()) << theta;
+    EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument) << theta;
+  }
+  for (const double theta : {0.0, 1.0}) {
+    PlanOptions options;
+    options.relax_theta = theta;
+    auto plan = BuildPlan(options);
+    EXPECT_TRUE(plan.ok()) << theta << ": " << plan.status();
+  }
 }
 
 TEST_F(ApiPlanTest, RejectsEmptyTarget) {

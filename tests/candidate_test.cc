@@ -24,7 +24,6 @@
 #include "candidate/indexed_entry.h"
 #include "candidate/snapshot.h"
 #include "candidate/sorted_index.h"
-#include "candidate/sorted_neighborhood.h"
 #include "candidate/windowing.h"
 #include "datagen/credit_billing.h"
 #include "match/blocking.h"
@@ -364,12 +363,6 @@ TEST(CandidateSetTest, EveryProducerEmitsDistinctPairs) {
   EXPECT_FALSE(blocked.empty());
   EXPECT_EQ(RepeatedPairs(blocked), 0u);
 
-  const SnResult sn = SortedNeighborhood(
-      inst, ops, keys, match::HernandezStolfoRules(data.pair, &ops));
-  EXPECT_FALSE(sn.candidates.empty());
-  EXPECT_EQ(RepeatedPairs(sn.candidates), 0u);
-  EXPECT_EQ(sn.comparisons, sn.candidates.size());
-
   // Thousands of uniform draws over 270 x 270 pairs repeat some pairs,
   // and the sample must drop the repeats.
   const match::CandidateSet sample = match::SampleTrainingPairs(
@@ -385,8 +378,8 @@ TEST(IndexSnapshotTest, AdvanceLeavesSharedBaseUntouched) {
 
   std::vector<std::vector<IndexedEntry>> inserts(2);
   for (uint32_t i = 0; i < 20; ++i) {
-    inserts[0].push_back({"k" + std::to_string(i), 0, i});
-    inserts[1].push_back({"j" + std::to_string(i), 0, i});
+    inserts[0].push_back({std::string("k").append(std::to_string(i)), 0, i});
+    inserts[1].push_back({std::string("j").append(std::to_string(i)), 0, i});
   }
   IndexSnapshotPtr held = base;
   IndexSnapshotPtr next = IndexSnapshot::Advance(
@@ -483,7 +476,8 @@ TEST(BlockIndexTest, RandomOpsMatchReferenceAcrossSnapshots) {
     } else {
       const uint8_t side = rng() % 2;
       const uint32_t id = step;
-      const std::string key = "k" + std::to_string(rng() % 60);
+      const std::string key =
+          std::string("k").append(std::to_string(rng() % 60));
       index.Add(side, id, key);
       ref.Add(side, id, key);
       live.emplace_back(side, id, key);

@@ -25,6 +25,13 @@ Conjunct C(AttrId left, AttrId right, sim::SimOpId op) {
   return Conjunct{AttrPair{left, right}, op};
 }
 
+/// The evaluator's decision on one pair, over both records' profiles.
+bool Decide(const CompiledEvaluator& eval, const Tuple& left,
+            const Tuple& right) {
+  return eval.Matches(left, right, eval.ProfileRecord(left, 0),
+                      eval.ProfileRecord(right, 1));
+}
+
 // ------------------------------------------------ dedup + short-circuit
 
 TEST(CompiledEvaluatorTest, DeduplicatesSharedAtomsAcrossRules) {
@@ -63,7 +70,7 @@ TEST(CompiledEvaluatorTest, SharedAtomEvaluatedAtMostOncePerPair) {
   Tuple right(2, {"xx", "y", "z", "w"});
   // All four atoms differ in value, so nothing short-circuits via the
   // registry's equality wrapper; each unique atom runs at most once.
-  EXPECT_FALSE(eval.Matches(left, right));
+  EXPECT_FALSE(Decide(eval, left, right));
   EXPECT_LE(calls.load(), 4u);
   EXPECT_GE(calls.load(), 1u);
 }
@@ -85,7 +92,7 @@ TEST(CompiledEvaluatorTest, CheapFailingAtomShortCircuitsExpensiveOnes) {
   CompiledEvaluator eval = CompiledEvaluator::ForRules(rules, ops);
   Tuple left(1, {"alpha", "beta"});
   Tuple right(2, {"gamma", "delta"});
-  EXPECT_FALSE(eval.Matches(left, right));
+  EXPECT_FALSE(Decide(eval, left, right));
   EXPECT_EQ(expensive_calls.load(), 0u);
 }
 
@@ -97,7 +104,7 @@ TEST(CompiledEvaluatorTest, EmptyRuleAlwaysMatches) {
   CompiledEvaluator eval = CompiledEvaluator::ForRules(rules, ops);
   Tuple left(1, {"a"});
   Tuple right(2, {"b"});
-  EXPECT_TRUE(eval.Matches(left, right));
+  EXPECT_TRUE(Decide(eval, left, right));
   EXPECT_TRUE(AnyRuleMatches(rules, ops, left, right));
 }
 
@@ -107,33 +114,10 @@ TEST(CompiledEvaluatorTest, EmptyEvaluatorAndEmptyRuleSetMatchNothing) {
   Tuple left(1, {"a"});
   Tuple right(2, {"a"});
   EXPECT_FALSE(empty.compiled());
-  EXPECT_FALSE(empty.Matches(left, right));
+  EXPECT_FALSE(Decide(empty, left, right));
   CompiledEvaluator no_rules = CompiledEvaluator::ForRules({}, ops);
   EXPECT_TRUE(no_rules.compiled());
-  EXPECT_FALSE(no_rules.Matches(left, right));
-}
-
-// More than 64 rules: the mask representation falls back to verbatim rule
-// evaluation, still decision-equivalent.
-TEST(CompiledEvaluatorTest, ManyRulesFallbackStaysEquivalent) {
-  sim::SimOpRegistry ops;
-  sim::SimOpId dl = ops.Dl(0.8);
-  std::vector<MatchRule> rules;
-  for (int i = 0; i < 70; ++i) {
-    rules.push_back(RelativeKey({C(i % 3, i % 3, dl), C((i + 1) % 3, (i + 1) % 3,
-                                 sim::SimOpRegistry::kEq)}));
-  }
-  CompiledEvaluator eval = CompiledEvaluator::ForRules(rules, ops);
-  Rng rng(99);
-  std::vector<std::string> pool = {"smith", "smyth", "jones", "jonas", ""};
-  for (int trial = 0; trial < 200; ++trial) {
-    Tuple left(1, {pool[rng.Index(pool.size())], pool[rng.Index(pool.size())],
-                   pool[rng.Index(pool.size())]});
-    Tuple right(2, {pool[rng.Index(pool.size())], pool[rng.Index(pool.size())],
-                    pool[rng.Index(pool.size())]});
-    EXPECT_EQ(eval.Matches(left, right),
-              AnyRuleMatches(rules, ops, left, right));
-  }
+  EXPECT_FALSE(Decide(no_rules, left, right));
 }
 
 // ------------------------------------------------ profile-backed atoms
@@ -148,7 +132,6 @@ TEST(CompiledEvaluatorTest, ProfileAtomsAgreeWithRegistryEvaluation) {
   rules.push_back(RelativeKey({C(0, 0, soundex), C(1, 1, qgram)}));
   rules.push_back(RelativeKey({C(0, 0, nysiis), C(1, 1, jaro)}));
   CompiledEvaluator eval = CompiledEvaluator::ForRules(rules, ops);
-  EXPECT_TRUE(eval.needs_profiles());
 
   Rng rng(4242);
   std::vector<std::string> pool = {"robert",  "rupert", "rubin",
@@ -161,8 +144,7 @@ TEST(CompiledEvaluatorTest, ProfileAtomsAgreeWithRegistryEvaluation) {
     RecordProfile lp = eval.ProfileRecord(left, 0);
     RecordProfile rp = eval.ProfileRecord(right, 1);
     const bool naive = AnyRuleMatches(rules, ops, left, right);
-    EXPECT_EQ(eval.Matches(left, right), naive);
-    EXPECT_EQ(eval.Matches(left, right, &lp, &rp), naive);
+    EXPECT_EQ(eval.Matches(left, right, lp, rp), naive);
   }
 }
 
@@ -177,9 +159,6 @@ TEST(CompiledEvaluatorTest, ProfiledEditAtomsAgreeAtBudgetBoundaries) {
       {RelativeKey({C(0, 0, ops.Dl(0.8))})}, ops);
   CompiledEvaluator lev_eval = CompiledEvaluator::ForRules(
       {RelativeKey({C(0, 0, ops.Levenshtein(max_dist))})}, ops);
-  ASSERT_TRUE(dl_eval.needs_profiles());
-  ASSERT_TRUE(lev_eval.needs_profiles());
-
   Rng rng(808);
   size_t similar = 0;
   size_t dissimilar = 0;
@@ -211,13 +190,13 @@ TEST(CompiledEvaluatorTest, ProfiledEditAtomsAgreeAtBudgetBoundaries) {
       const bool dl = sim::DlSimilar(a, b, 0.8);
       const RecordProfile dl_l = dl_eval.ProfileRecord(left, 0);
       const RecordProfile dl_r = dl_eval.ProfileRecord(right, 1);
-      EXPECT_EQ(dl_eval.Matches(left, right, &dl_l, &dl_r), dl)
+      EXPECT_EQ(dl_eval.Matches(left, right, dl_l, dl_r), dl)
           << "'" << a << "' vs '" << b << "'";
       const bool lev =
           sim::LevenshteinDistanceBounded(a, b, max_dist) <= max_dist;
       const RecordProfile lev_l = lev_eval.ProfileRecord(left, 0);
       const RecordProfile lev_r = lev_eval.ProfileRecord(right, 1);
-      EXPECT_EQ(lev_eval.Matches(left, right, &lev_l, &lev_r), lev)
+      EXPECT_EQ(lev_eval.Matches(left, right, lev_l, lev_r), lev)
           << "'" << a << "' vs '" << b << "'";
       ++(dl ? similar : dissimilar);
     }
@@ -249,15 +228,15 @@ TEST(CompiledEvaluatorTest, FsThresholdTiesMatchNaiveDecision) {
 
   Tuple agree_disagree_l(1, {"same", "one"});
   Tuple agree_disagree_r(2, {"same", "two"});
-  EXPECT_EQ(eval.Matches(agree_disagree_l, agree_disagree_r),
+  EXPECT_EQ(Decide(eval, agree_disagree_l, agree_disagree_r),
             fs_tie.IsMatch(ops, agree_disagree_l, agree_disagree_r));
-  EXPECT_TRUE(eval.Matches(agree_disagree_l, agree_disagree_r));
+  EXPECT_TRUE(Decide(eval, agree_disagree_l, agree_disagree_r));
 
   Tuple disagree_l(3, {"left", "one"});
   Tuple disagree_r(4, {"right", "two"});
-  EXPECT_EQ(eval.Matches(disagree_l, disagree_r),
+  EXPECT_EQ(Decide(eval, disagree_l, disagree_r),
             fs_tie.IsMatch(ops, disagree_l, disagree_r));
-  EXPECT_FALSE(eval.Matches(disagree_l, disagree_r));
+  EXPECT_FALSE(Decide(eval, disagree_l, disagree_r));
 }
 
 TEST(CompiledEvaluatorTest, FsDuplicateVectorElementsShareOneEvaluation) {
@@ -278,7 +257,7 @@ TEST(CompiledEvaluatorTest, FsDuplicateVectorElementsShareOneEvaluation) {
   EXPECT_EQ(eval.atom_count(), 1u);
   Tuple left(1, {"abc"});
   Tuple right(2, {"abd"});
-  const bool compiled = eval.Matches(left, right);
+  const bool compiled = Decide(eval, left, right);
   EXPECT_LE(calls.load(), 1u);  // both vector elements share one evaluation
   FsOptions zero;
   zero.match_threshold = 0.0;
@@ -327,8 +306,8 @@ class CompiledEquivalenceTest : public testing::Test {
         .Build();
   }
 
-  /// Naive decision: exactly what MatchesPair computed before the
-  /// compiled engine existed.
+  /// Naive decision: exactly what the plan decided before the compiled
+  /// engine existed.
   bool Naive(const api::MatchPlan& plan, const Tuple& l, const Tuple& r) {
     if (plan.options().matcher == api::PlanOptions::Matcher::kRuleBased) {
       return AnyRuleMatches(plan.rules(), ops_, l, r);
@@ -342,8 +321,8 @@ class CompiledEquivalenceTest : public testing::Test {
 
 // Compiled vs naive on ~10k random noisy pairs (plus every candidate pair
 // the plan itself generates), across matcher x candidate configurations
-// and the all-`=` rule basis, both without profiles and over the record
-// profiles Executor and MatchSession build.
+// and the all-`=` rule basis, over the record profiles Executor and
+// MatchSession build.
 TEST_F(CompiledEquivalenceTest, CompiledAgreesWithNaiveOnRandomPairs) {
   std::vector<api::PlanOptions> configs(4);
   configs[0].matcher = api::PlanOptions::Matcher::kRuleBased;
@@ -385,9 +364,8 @@ TEST_F(CompiledEquivalenceTest, CompiledAgreesWithNaiveOnRandomPairs) {
       const Tuple& l = left.tuple(li);
       const Tuple& r = right.tuple(ri);
       const bool naive = Naive(p, l, r);
-      ASSERT_EQ(p.MatchesPair(l, r), naive)
-          << "pair (" << l.id() << ", " << r.id() << ")";
-      ASSERT_EQ(p.MatchesPair(l, r, &profiles[0][li], &profiles[1][ri]), naive)
+      ASSERT_EQ(p.evaluator().Matches(l, r, profiles[0][li], profiles[1][ri]),
+                naive)
           << "profiled pair (" << l.id() << ", " << r.id() << ")";
       if (naive) ++matches;
     }
@@ -400,9 +378,8 @@ TEST_F(CompiledEquivalenceTest, CompiledAgreesWithNaiveOnRandomPairs) {
     ASSERT_TRUE(report.ok());
     for (const auto& [li, ri] : report->candidates.pairs()) {
       const bool naive = Naive(p, left.tuple(li), right.tuple(ri));
-      ASSERT_EQ(p.MatchesPair(left.tuple(li), right.tuple(ri)), naive);
-      ASSERT_EQ(p.MatchesPair(left.tuple(li), right.tuple(ri),
-                              &profiles[0][li], &profiles[1][ri]),
+      ASSERT_EQ(p.evaluator().Matches(left.tuple(li), right.tuple(ri),
+                                      profiles[0][li], profiles[1][ri]),
                 naive);
     }
   }

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include "candidate/sorted_neighborhood.h"
+#include "api/executor.h"
+#include "api/plan.h"
+#include "candidate/windowing.h"
 #include "core/closure.h"
 #include "core/enforce.h"
 #include "core/find_rcks.h"
@@ -14,7 +16,6 @@
 #include "match/evaluation.h"
 #include "match/fellegi_sunter.h"
 #include "match/hs_rules.h"
-#include "match/windowing.h"
 
 namespace mdmatch {
 namespace {
@@ -114,6 +115,25 @@ class PipelineTest : public testing::Test {
                      &quality_)
                 .rcks;
   }
+
+  /// Runs a trained FS matcher as a compiled plan over the standard
+  /// windowing keys (window 10) and scores its matches.
+  void RunFsPlan(const match::FellegiSunter& fs, match::MatchQuality* q) {
+    api::PlanOptions options;
+    options.matcher = api::PlanOptions::Matcher::kFellegiSunter;
+    auto plan = api::PlanBuilder(data_.pair, data_.target, &ops_)
+                    .WithSigma(data_.mds)
+                    .WithPrecompiledRcks(rcks_)
+                    .WithOptions(options)
+                    .WithSortKeys(match::StandardWindowKeys(data_.pair))
+                    .WithFsBasis(fs.vector(), fs.model())
+                    .Build();
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    auto run = api::Executor(*plan).Run(data_.instance);
+    ASSERT_TRUE(run.ok()) << run.status();
+    *q = Evaluate(run->matches, data_.instance);
+  }
+
   sim::SimOpRegistry ops_;
   datagen::CreditBillingData data_;
   QualityModel quality_;
@@ -121,25 +141,22 @@ class PipelineTest : public testing::Test {
 };
 
 TEST_F(PipelineTest, RckUnionVectorImprovesFsOverEmPicked) {
-  auto window_keys = match::StandardWindowKeys(data_.pair);
-  auto candidates =
-      match::WindowCandidatesMultiPass(data_.instance, window_keys, 10);
-
   // FSrck: union of top-5 RCKs, compared under the θ = 0.8 similarity test.
   ComparisonVector rck_vector = match::RelaxVectorForMatching(
       ComparisonVector::UnionOfKeys(rcks_, 5), ops_.Dl(0.8));
   match::FellegiSunter fs_rck(rck_vector);
   ASSERT_TRUE(fs_rck.Train(data_.instance, ops_).ok());
-  auto q_rck =
-      Evaluate(fs_rck.Match(data_.instance, ops_, candidates), data_.instance);
+  match::MatchQuality q_rck;
+  ASSERT_NO_FATAL_FAILURE(RunFsPlan(fs_rck, &q_rck));
 
-  // FS baseline: EM-picked attributes under the same similarity test.
+  // FS baseline: EM-picked attributes under the same similarity test,
+  // over the same windowing candidates.
   ComparisonVector em_vector = match::SelectVectorByEm(
       data_.instance, ops_, data_.target, ops_.Dl(0.8), rck_vector.size());
   match::FellegiSunter fs_em(em_vector);
   ASSERT_TRUE(fs_em.Train(data_.instance, ops_).ok());
-  auto q_em =
-      Evaluate(fs_em.Match(data_.instance, ops_, candidates), data_.instance);
+  match::MatchQuality q_em;
+  ASSERT_NO_FATAL_FAILURE(RunFsPlan(fs_em, &q_em));
 
   // The paper's headline: RCK vectors improve precision without losing
   // recall. Allow slack; assert the direction on F1.
@@ -190,10 +207,10 @@ TEST_F(PipelineTest, EnforcementOnSampleSatisfiesDeducedKeys) {
 }
 
 TEST_F(PipelineTest, WindowingWithRckKeysHasHighPairsCompleteness) {
-  auto rck_keys = candidate::SortKeysFromRules(
+  auto rck_keys = match::SortKeysFromRules(
       std::vector<MatchRule>(rcks_.begin(), rcks_.end()), data_.pair, 3);
   auto candidates =
-      match::WindowCandidatesMultiPass(data_.instance, rck_keys, 10);
+      candidate::WindowCandidatesMultiPass(data_.instance, rck_keys, 10);
   auto q = EvaluateCandidates(candidates, data_.instance);
   EXPECT_GT(q.pairs_completeness, 0.5);
   EXPECT_GT(q.reduction_ratio, 0.95);

@@ -103,11 +103,15 @@ TEST(LintFixtures, LayeringBackedge) {
   EXPECT_EQ(findings[0].check, "layering");
   EXPECT_NE(findings[0].message.find("candidate"), std::string::npos);
 
-  // The forwarding header is the sanctioned exception: identical content
-  // under its path is clean.
-  EXPECT_TRUE(LintFile("src/match/windowing.h",
-                       ReadFile("tests/lint_fixtures/layering_backedge.cc"))
-                  .empty());
+  // A sanctioned back-edge carries an allow marker: the same content with
+  // the marker above the include is clean.
+  std::string marked = ReadFile("tests/lint_fixtures/layering_backedge.cc");
+  const size_t include = marked.find("#include \"candidate/windowing.h\"");
+  ASSERT_NE(include, std::string::npos);
+  marked.insert(include,
+                "// mdmatch-lint: allow(layering) the sample windows the "
+                "instance\n");
+  EXPECT_TRUE(LintFile("src/match/bad.cc", marked).empty());
   // And outside src/ the layering check does not apply at all.
   EXPECT_TRUE(LintFixture("layering_backedge.cc", "tools/bad.cc").empty());
 }

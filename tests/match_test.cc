@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "api/plan.h"
+#include "candidate/windowing.h"
 #include "datagen/credit_billing.h"
 #include "match/blocking.h"
 #include "match/comparison.h"
@@ -17,10 +18,11 @@
 #include "match/hs_rules.h"
 #include "match/key_function.h"
 #include "match/match_result.h"
-#include "match/windowing.h"
 
 namespace mdmatch::match {
 namespace {
+
+using candidate::WindowCandidates;
 
 class MatchSubstrateTest : public testing::Test {
  protected:

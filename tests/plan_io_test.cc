@@ -267,6 +267,65 @@ TEST_F(PlanIoTest, RejectsNegativeAndOversizedWindows) {
   EXPECT_TRUE(widest.ok()) << widest.status();
 }
 
+/// `text` as a v1 file: no checksum line, so edits reach the parser.
+std::string AsV1(std::string text) {
+  text.replace(0, std::string("mdmatch-plan v2").size(), "mdmatch-plan v1");
+  text.erase(text.find("\nchecksum "),
+             text.find("\nend\n") - text.find("\nchecksum "));
+  return text;
+}
+
+// A similarity threshold outside [0, 1] is not an operator a plan file can
+// name: the load fails and registers nothing.
+TEST_F(PlanIoTest, RejectsSimilarityThresholdsOutsideUnitInterval) {
+  auto plan = BuildPlan();
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  std::string text = AsV1(SerializePlan(**plan));
+  ASSERT_NE(text.find("~dl@0.80"), std::string::npos);
+  for (size_t at = text.find("~dl@0.80"); at != std::string::npos;
+       at = text.find("~dl@0.80", at)) {
+    text.replace(at, std::string("~dl@0.80").size(), "~dl@1.50");
+  }
+  auto loaded = DeserializePlan(text, data_.pair, data_.target, &ops_);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_FALSE(ops_.Find("dl@1.50").ok());
+}
+
+// `~name` tokens register operators only from plan lines, never from
+// comments, and count parameters are digits only: `~lev-1` once wrapped
+// to lev18446744073709551615 through a double -> size_t cast.
+TEST_F(PlanIoTest, NegativeCountOperatorsRegisterNothing) {
+  auto plan = BuildPlan();
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const std::string text = SerializePlan(**plan);
+
+  // In a comment: the file still fails for its own reason (no RCKs) ...
+  EXPECT_FALSE(DeserializePlan("mdmatch-plan v1\n# tuned with ~lev-1\nend\n",
+                               data_.pair, data_.target, &ops_)
+                   .ok());
+  // ... and a valid plan carrying the comment loads.
+  const std::string annotated = text.substr(0, text.find('\n') + 1) +
+                                "# tuned with ~lev-1 ~prefix-1\n" +
+                                text.substr(text.find('\n') + 1);
+  auto commented = DeserializePlan(annotated, data_.pair, data_.target, &ops_);
+  EXPECT_TRUE(commented.ok()) << commented.status();
+
+  // In an RCK line: the operator is unknown, so the line fails to parse.
+  std::string v1 = AsV1(text);
+  const size_t rck = v1.find("\nrck ");
+  ASSERT_NE(rck, std::string::npos);
+  const size_t eq = v1.find(" = ", rck);
+  ASSERT_LT(eq, v1.find('\n', rck + 1));
+  v1.replace(eq, 3, " ~lev-1 ");
+  auto in_rck = DeserializePlan(v1, data_.pair, data_.target, &ops_);
+  ASSERT_FALSE(in_rck.ok());
+  EXPECT_EQ(in_rck.status().code(), StatusCode::kParseError);
+
+  EXPECT_EQ(ops_.Find("lev18446744073709551615").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_FALSE(ops_.Find("prefix18446744073709551615").ok());
+}
+
 TEST_F(PlanIoTest, RejectsGarbage) {
   EXPECT_FALSE(
       DeserializePlan("", data_.pair, data_.target, &ops_).ok());

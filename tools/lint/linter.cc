@@ -84,11 +84,6 @@ constexpr const char* kLayers[] = {"util",    "schema", "sim",
                                    "core",    "datagen", "match",
                                    "candidate", "api",  "stream"};
 
-/// The match/ forwarding header over windowing relocated into
-/// candidate/ — the one sanctioned back-edge (match/fellegi_sunter.cc
-/// reaches the relocated functions through it).
-constexpr const char* kLayeringExempt[] = {"src/match/windowing.h"};
-
 /// Frozen types: immutable after construction/publication. An entry with
 /// an empty path_part applies everywhere; otherwise the declaration must
 /// live in a file whose path contains path_part.
@@ -231,9 +226,6 @@ void CheckLayering(const Ctx& ctx,
                    const std::vector<std::string>& raw_lines) {
   const int rank = LayerRank(ctx.path);
   if (rank < 0) return;
-  for (const char* exempt : kLayeringExempt) {
-    if (ctx.path == exempt) return;
-  }
   for (size_t i = 0; i < ctx.lines.size(); ++i) {
     // The directive survives stripping; the quoted path does not, so it
     // is recovered from the raw line.
@@ -564,7 +556,9 @@ std::string StripCommentsAndStrings(const std::string& content) {
             out += c;
             break;
           }
-          raw_close = ")" + content.substr(i + 2, open - i - 2) + "\"";
+          raw_close.assign(1, ')');
+          raw_close.append(content, i + 2, open - i - 2);
+          raw_close.push_back('"');
           state = State::kRawString;
           for (size_t k = i; k <= open; ++k) {
             out += content[k] == '\n' ? '\n' : ' ';

@@ -24,8 +24,8 @@
 //                    shared_ptr factories are allowlisted).
 //   layering         The layer DAG util -> schema -> sim -> core ->
 //                    datagen -> match -> candidate -> api -> stream has
-//                    no back-edges (the match/windowing.h forwarding
-//                    header over relocated candidate/ code is exempt).
+//                    no back-edges; a sanctioned one carries an allow
+//                    marker.
 //   tsa-escape       NO_THREAD_SAFETY_ANALYSIS carries a justification
 //                    comment on the same or a preceding line.
 //   hot-loop-alloc   No per-iteration container construction
