@@ -96,36 +96,117 @@ void IfCrossSide(const IndexedEntry& a, const IndexedEntry& b, Fn& fn) {
   }
 }
 
-/// Visits, once each, every cross-side pair of ranks a < b of `idx` with
-/// b - a < window straddling one of the sorted `points` (a < g <= b; point
-/// g sits just before rank g): the only pairs whose distance an entry
-/// entering or leaving there changes. Touching neighbourhoods share a span.
-template <typename Fn>
-void ForEachStraddlingPair(const SortedKeyIndex& idx,
-                           const std::vector<size_t>& points, size_t window,
-                           std::vector<const IndexedEntry*>* span, Fn&& fn) {
+/// Groups the sorted `fresh` ranks (inserted entries) and `gaps` (a gap g
+/// sits just before rank g) of an index of `size` entries into the rank
+/// ranges [lo, hi) a flush walks, one per run of touching
+/// neighbourhoods. A pair of ranks a < b < a + window with a fresh
+/// endpoint lies within window - 1 of that endpoint, and one straddling
+/// a gap (a < g <= b) within [g - (window - 1), g + window - 1), so every
+/// such pair lies inside one span.
+std::vector<std::pair<size_t, size_t>> GroupSpans(
+    const std::vector<size_t>& fresh, const std::vector<size_t>& gaps,
+    size_t window, size_t size) {
   const size_t reach = window - 1;
-  for (size_t k = 0; k < points.size();) {
-    size_t end = k + 1;
-    while (end < points.size() && points[end] <= points[end - 1] + 2 * reach) {
-      ++end;
-    }
-    const size_t lo = points[k] >= reach ? points[k] - reach : 0;
-    const size_t hi = std::min(idx.size(), points[end - 1] + reach);
-    idx.SpanInto(lo, hi, span);
-    // `a` is the next left rank not yet paired: each a pairs only across
-    // the first point above it, so no pair is visited twice.
-    size_t a = lo;
-    for (; k < end; ++k) {
-      const size_t g = points[k];
-      for (a = std::max(a, g >= reach ? g - reach : 0); a < g; ++a) {
-        for (size_t b = g; b < std::min(hi, a + window); ++b) {
-          IfCrossSide(*(*span)[a - lo], *(*span)[b - lo], fn);
-        }
-      }
+  std::vector<std::pair<size_t, size_t>> spans;
+  for (size_t f = 0, g = 0; f < fresh.size() || g < gaps.size();) {
+    const bool is_fresh =
+        g == gaps.size() || (f < fresh.size() && fresh[f] <= gaps[g]);
+    const size_t at = is_fresh ? fresh[f++] : gaps[g++];
+    const size_t lo = at >= reach ? at - reach : 0;
+    const size_t hi = std::min(size, at + reach + (is_fresh ? 1 : 0));
+    if (spans.empty() || lo > spans.back().second) {
+      spans.emplace_back(lo, hi);
+    } else {
+      spans.back().second = std::max(spans.back().second, hi);
     }
   }
+  return spans;
 }
+
+/// Calls fn(a, b) once for every pair of ranks lo <= a < b < min(hi,
+/// a + window) with a fresh endpoint or straddling a gap, in (a, b)
+/// order: the pairs whose window membership the delta may have changed.
+template <typename Fn>
+void ForEachSpanPair(size_t lo, size_t hi, const std::vector<size_t>& fresh,
+                     const std::vector<size_t>& gaps, size_t window,
+                     Fn&& fn) {
+  // f: the first fresh rank >= a; g: the first gap > a.
+  auto f = std::lower_bound(fresh.begin(), fresh.end(), lo);
+  auto g = std::upper_bound(gaps.begin(), gaps.end(), lo);
+  for (size_t a = lo; a < hi; ++a) {
+    while (f != fresh.end() && *f < a) ++f;
+    while (g != gaps.end() && *g <= a) ++g;
+    const size_t end = std::min(hi, a + window);
+    if (f != fresh.end() && *f == a) {
+      for (size_t b = a + 1; b < end; ++b) fn(a, b);
+      continue;
+    }
+    // Below the next gap only the fresh ranks pair with `a`; from the gap
+    // on, every rank does.
+    const size_t straddle = std::min(end, g != gaps.end() ? *g : end);
+    for (auto k = f; k != fresh.end() && *k < straddle; ++k) fn(a, *k);
+    for (size_t b = straddle; b < end; ++b) fn(a, b);
+  }
+}
+
+/// The ranks, in every windowing pass but the last, of the entries this
+/// flush's spans visited: a flush-local open-addressing table keyed by
+/// packed (side, seq) and sized to the spans, so the scan's state stays
+/// O(delta x window) rather than corpus-sized.
+class VisitedRanks {
+ public:
+  static constexpr size_t kNone = SIZE_MAX;
+
+  /// Room for `max_rows` entries with `passes` ranks each.
+  VisitedRanks(size_t passes, size_t max_rows) : passes_(passes) {
+    size_t capacity = 16;
+    while (capacity < 2 * max_rows) capacity *= 2;
+    keys_.assign(capacity, kEmpty);
+    rows_.resize(capacity);
+    ranks_.reserve(max_rows * passes);
+  }
+
+  /// The row of `key`. When it is absent: a new row with no ranks if
+  /// `add`, else kNone.
+  size_t Row(uint64_t key, bool add) {
+    const size_t mask = keys_.size() - 1;
+    for (size_t i = Mix64(key) & mask;; i = (i + 1) & mask) {
+      if (keys_[i] == key) return rows_[i];
+      if (keys_[i] != kEmpty) continue;
+      if (!add) return kNone;
+      keys_[i] = key;
+      rows_[i] = ranks_.size() / passes_;
+      ranks_.resize(ranks_.size() + passes_, kNone);
+      return rows_[i];
+    }
+  }
+
+  void Set(size_t row, size_t pass, size_t rank) {
+    ranks_[row * passes_ + pass] = rank;
+  }
+
+  /// True when some pass before `pass` visited both rows less than
+  /// `window` apart.
+  bool Covered(size_t a, size_t b, size_t pass, size_t window) const {
+    if (a == kNone || b == kNone) return false;
+    for (size_t q = 0; q < pass; ++q) {
+      const size_t ra = ranks_[a * passes_ + q];
+      const size_t rb = ranks_[b * passes_ + q];
+      if (ra != kNone && rb != kNone &&
+          (ra > rb ? ra - rb : rb - ra) < window) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  static constexpr uint64_t kEmpty = UINT64_MAX;
+  size_t passes_;
+  std::vector<uint64_t> keys_;
+  std::vector<size_t> rows_;
+  std::vector<size_t> ranks_;
+};
 
 }  // namespace
 
@@ -194,11 +275,11 @@ struct MatchSession::FlushDelta {
   std::vector<IndexedEntry> block_inserts;
   /// The snapshot before this flush: the old order the drift check walks.
   IndexSnapshotPtr before;
-  /// Per windowing pass, sorted, in the post-merge order: the ranks of
-  /// the inserted entries, and the removal gaps.
-  std::vector<std::vector<size_t>> ranks;
-  std::vector<std::vector<size_t>> gaps;
-  match::PairSet candidates;
+  /// Per windowing pass, in the post-merge order: the ranks of the
+  /// inserted entries and the removal gaps, both ascending.
+  std::vector<SortedKeyIndex::BatchRanks> placed;
+  /// Candidate pairs, each once, in scan order.
+  SeqPairs candidates;
   SeqPairs new_matches;
   /// Handles of the clusters that lost an edge (removals, updates,
   /// drift) — the ones whose connectivity must be recomputed from the
@@ -436,77 +517,94 @@ void MatchSession::AdvanceIndexesLocked(FlushDelta* delta,
   ScopedTimer timer(&report->merge_seconds);
   delta->before = indexes_;
   indexes_ = IndexSnapshot::Advance(
-      *indexes_, delta->pass_removes,
-      std::move(delta->pass_inserts), delta->block_removes,
-      delta->block_inserts);
-  const auto& passes = indexes_->window_passes();
-  delta->ranks.assign(passes.size(), {});
-  delta->gaps.assign(passes.size(), {});
-  for (size_t p = 0; p < passes.size(); ++p) {
-    for (const auto& [side, seq] : delta->inserted) {
-      delta->ranks[p].push_back(passes[p].LowerBound(
-          {slots_[side][seq].record->keys[p], static_cast<uint8_t>(side),
-           seq}));
-    }
-    for (const IndexedEntry& e : delta->pass_removes[p]) {
-      delta->gaps[p].push_back(passes[p].LowerBound(e));
-    }
-    std::sort(delta->ranks[p].begin(), delta->ranks[p].end());
-    std::sort(delta->gaps[p].begin(), delta->gaps[p].end());
-  }
+      *indexes_, delta->pass_removes, std::move(delta->pass_inserts),
+      delta->block_removes, delta->block_inserts, &delta->placed);
 }
 
 void MatchSession::ScanLocked(FlushDelta* delta, IngestReport* report) {
   ScopedTimer timer(&report->scan_seconds);
-  match::PairSet& cand = delta->candidates;
+  SeqPairs& cand = delta->candidates;
   const auto& slots = slots_;
   const auto& pairs = pairs_;
   auto add = [&cand, &slots, &pairs](uint32_t l, uint32_t r) {
-    if (!Standing(slots, pairs, l, r)) cand.Add(l, r);
+    if (!Standing(slots, pairs, l, r)) cand.emplace_back(l, r);
   };
 
   if (const candidate::BlockIndex* blocks = indexes_->block()) {
-    // Each inserted record against the opposite side of its block
-    // (intra-delta pairs emitted from both endpoints collapse in `cand`).
+    // Each inserted record against the opposite side of its block; a pair
+    // of two inserted records is emitted once, from its left record.
+    std::vector<uint64_t> fresh_left;
+    for (const auto& [side, seq] : delta->inserted) {
+      if (side == 0) fresh_left.push_back(seq);
+    }
+    SortUnique(&fresh_left);
     for (const auto& [side, seq] : delta->inserted) {
       const candidate::BlockIndex::Block* block =
           blocks->Find(slots_[side][seq].record->keys[0]);
       if (block == nullptr) continue;
-      for (uint32_t other : side == 0 ? block->right : block->left) {
-        if (side == 0) {
-          add(seq, other);
-        } else {
-          add(other, seq);
+      if (side == 0) {
+        for (uint32_t other : block->right) add(seq, other);
+      } else {
+        for (uint32_t other : block->left) {
+          if (!Has(fresh_left, other)) add(other, seq);
         }
       }
     }
     return;
   }
 
-  // Windowing: scan the final order around every inserted entry (pairs
-  // gaining a delta endpoint) and across every removal gap (old pairs
-  // whose distance shrank below the window: only a pair straddling a gap
-  // moved closer; every other pair was decided by an earlier flush).
+  // Windowing: per pass, walk the spans around the inserted entries
+  // (pairs gaining a delta endpoint) and the removal gaps (old pairs
+  // whose distance shrank below the window; every other pair was decided
+  // by an earlier flush). A pair an earlier pass visited less than the
+  // window apart is skipped: that pass emitted it, or neither record is
+  // new and no gap lay between them there, so their distance there can
+  // only have grown: the pair sat inside that window before this flush
+  // too, and an earlier flush decided it.
   const size_t window = plan_->options().window_size;
-  if (window < 2) return;
-  std::vector<const IndexedEntry*> span;  // reused window buffer
   const auto& passes = indexes_->window_passes();
+  if (window < 2 || passes.empty()) return;
+  std::vector<std::vector<std::pair<size_t, size_t>>> spans(passes.size());
+  size_t recorded = 0;  // span entries of every pass but the last
   for (size_t p = 0; p < passes.size(); ++p) {
-    const SortedKeyIndex& idx = passes[p];
-    for (const size_t center : delta->ranks[p]) {
-      const size_t lo = center >= window - 1 ? center - (window - 1) : 0;
-      idx.SpanInto(lo, std::min(idx.size(), center + window), &span);
-      const size_t center_off = center - lo;
-      for (size_t j = 0; j < span.size(); ++j) {
-        if (j != center_off) IfCrossSide(*span[center_off], *span[j], add);
-      }
+    spans[p] = GroupSpans(delta->placed[p].inserted, delta->placed[p].gaps,
+                          window, passes[p].size());
+    for (const auto& [lo, hi] : spans[p]) {
+      if (p + 1 < passes.size()) recorded += hi - lo;
     }
-    ForEachStraddlingPair(idx, delta->gaps[p], window, &span, add);
+  }
+  VisitedRanks visited(passes.size() - 1, recorded);
+  std::vector<const IndexedEntry*> span;  // reused window buffer
+  std::vector<size_t> rows;               // visited row per span entry
+  for (size_t p = 0; p < passes.size(); ++p) {
+    const bool record = p + 1 < passes.size();
+    for (const auto& [lo, hi] : spans[p]) {
+      passes[p].SpanInto(lo, hi, &span);
+      if (passes.size() > 1) {
+        rows.resize(span.size());
+        for (size_t k = 0; k < span.size(); ++k) {
+          rows[k] = visited.Row(Handle(span[k]->side, span[k]->seq), record);
+          if (record) visited.Set(rows[k], p, lo + k);
+        }
+      }
+      ForEachSpanPair(
+          lo, hi, delta->placed[p].inserted, delta->placed[p].gaps, window,
+          [&, lo = lo](size_t a, size_t b) {
+            const IndexedEntry& x = *span[a - lo];
+            const IndexedEntry& y = *span[b - lo];
+            if (x.side == y.side) return;
+            if (p > 0 &&
+                visited.Covered(rows[a - lo], rows[b - lo], p, window)) {
+              return;
+            }
+            IfCrossSide(x, y, add);
+          });
+    }
   }
 }
 
 void MatchSession::EvaluateLocked(FlushDelta* delta, IngestReport* report) {
-  EvaluatePairs(delta->candidates.pairs(), &delta->new_matches, report);
+  EvaluatePairs(delta->candidates, &delta->new_matches, report);
 }
 
 void MatchSession::RetireDriftLocked(FlushDelta* delta,
@@ -529,6 +627,7 @@ void MatchSession::RetireDriftLocked(FlushDelta* delta,
   auto suspect = [&suspects, &slots, &pairs](uint32_t l, uint32_t r) {
     if (Standing(slots, pairs, l, r)) suspects.Add(l, r);
   };
+  const std::vector<size_t> none;
   std::vector<size_t> points;
   std::vector<const IndexedEntry*> span;
   for (size_t p = 0; p < passes; ++p) {
@@ -536,16 +635,23 @@ void MatchSession::RetireDriftLocked(FlushDelta* delta,
     // surviving entries precede it, plus the removed ones, whose gaps are
     // <= c. (A key-preserving update lands one past its old entry; that
     // shifts only the updated record's pairs, already retired.)
-    const std::vector<size_t>& ranks = delta->ranks[p];
-    const std::vector<size_t>& gaps = delta->gaps[p];
+    const std::vector<size_t>& ranks = delta->placed[p].inserted;
+    const std::vector<size_t>& gaps = delta->placed[p].gaps;
     points.clear();
     size_t removed = 0;
     for (size_t i = 0; i < ranks.size(); ++i) {
       while (removed < gaps.size() && gaps[removed] <= ranks[i]) ++removed;
       points.push_back(ranks[i] - i + removed);
     }
-    ForEachStraddlingPair(delta->before->window_passes()[p], points, window,
-                          &span, suspect);
+    const SortedKeyIndex& old_order = delta->before->window_passes()[p];
+    for (const auto& [lo, hi] :
+         GroupSpans(none, points, window, old_order.size())) {
+      old_order.SpanInto(lo, hi, &span);
+      ForEachSpanPair(lo, hi, none, points, window,
+                      [&, lo = lo](size_t a, size_t b) {
+                        IfCrossSide(*span[a - lo], *span[b - lo], suspect);
+                      });
+    }
   }
   // Re-rank each suspect in the new order; retire it — an edge its
   // cluster loses — unless some pass keeps it within the window.
@@ -556,6 +662,7 @@ void MatchSession::RetireDriftLocked(FlushDelta* delta,
     for (size_t p = 0; p < passes && !kept; ++p) {
       const size_t pl = widx[p].LowerBound({left.keys[p], 0, l});
       const size_t pr = widx[p].LowerBound({right.keys[p], 1, r});
+      report->rank_queries += 2;
       kept = (pl > pr ? pl - pr : pr - pl) <= window - 1;
     }
     if (!kept && pairs_.Erase(l, r)) {

@@ -94,6 +94,12 @@ struct IngestReport {
   /// shared structurally with the previous generation) — the O(corpus)
   /// slice an O(delta) publish eliminates.
   size_t publish_bytes_copied = 0;
+  /// candidate::SortedKeyIndex::LowerBound calls the flush made. The
+  /// index merge reports the delta's own ranks, so only the drift
+  /// re-rank queries: two per pass it checks, for each standing pair an
+  /// insertion straddled. A flush into a session with no standing
+  /// matches (a first load) makes none.
+  size_t rank_queries = 0;
 };
 
 /// One corpus record as the session stores it: the tuple plus everything
@@ -415,13 +421,16 @@ class MatchSession {
   /// and retires the standing matches of removed and updated records.
   void ResolveDeltaLocked(FlushDelta* delta, IngestReport* report)
       REQUIRES(mu_);
-  /// Advances the index snapshot chain by the delta and ranks the
-  /// inserted entries and removal gaps in the new order (merge_seconds).
+  /// Advances the index snapshot chain by the delta; the merge reports
+  /// the inserted entries' ranks and the removal gaps in the new order
+  /// (merge_seconds).
   void AdvanceIndexesLocked(FlushDelta* delta, IngestReport* report)
       REQUIRES(mu_);
-  /// Candidate pairs the delta creates: the windows around inserted
-  /// entries and the pairs straddling removal gaps, or the inserted
-  /// records' blocks; standing matches are skipped (scan_seconds).
+  /// Candidate pairs the delta creates, each emitted once: per pass, one
+  /// span over each run of touching neighbourhoods of inserted entries
+  /// and removal gaps, keeping a pair only in the first pass that places
+  /// it within the window; or the inserted records' blocks. Standing
+  /// matches are skipped (scan_seconds).
   void ScanLocked(FlushDelta* delta, IngestReport* report) REQUIRES(mu_);
   /// Evaluates the candidates across num_threads into
   /// delta->new_matches (eval_seconds).

@@ -19,7 +19,8 @@ IndexSnapshotPtr IndexSnapshot::Advance(
     const std::vector<std::vector<IndexedEntry>>& pass_removes,
     std::vector<std::vector<IndexedEntry>> pass_inserts,
     const std::vector<IndexedEntry>& block_removes,
-    const std::vector<IndexedEntry>& block_inserts) {
+    const std::vector<IndexedEntry>& block_inserts,
+    std::vector<SortedKeyIndex::BatchRanks>* pass_ranks) {
   assert(pass_removes.size() == base.window_.size() &&
          pass_inserts.size() == base.window_.size() &&
          "delta pass count must match the snapshot");
@@ -33,8 +34,10 @@ IndexSnapshotPtr IndexSnapshot::Advance(
     next->block_ = std::make_unique<BlockIndex>(*base.block_);
   }
 
+  pass_ranks->resize(next->window_.size());
   for (size_t p = 0; p < next->window_.size(); ++p) {
-    next->window_[p].Apply(pass_removes[p], std::move(pass_inserts[p]));
+    (*pass_ranks)[p] =
+        next->window_[p].Apply(pass_removes[p], std::move(pass_inserts[p]));
   }
   if (next->block_ != nullptr) {
     for (const IndexedEntry& e : block_removes) {

@@ -43,13 +43,15 @@ class IndexSnapshot {
   /// `pass_removes` / `pass_inserts` are per windowing pass (must match
   /// the snapshot's pass count); `block_removes` / `block_inserts` feed
   /// the blocking index. A windowing snapshot ignores the block lists and
-  /// vice versa.
+  /// vice versa. `pass_ranks` receives, per windowing pass, where the
+  /// delta landed in the new order (SortedKeyIndex::Apply).
   static IndexSnapshotPtr Advance(
       const IndexSnapshot& base,
       const std::vector<std::vector<IndexedEntry>>& pass_removes,
       std::vector<std::vector<IndexedEntry>> pass_inserts,
       const std::vector<IndexedEntry>& block_removes,
-      const std::vector<IndexedEntry>& block_inserts);
+      const std::vector<IndexedEntry>& block_inserts,
+      std::vector<SortedKeyIndex::BatchRanks>* pass_ranks);
 
   /// The windowing indexes, one per pass (empty for blocking snapshots).
   const std::vector<SortedKeyIndex>& window_passes() const {

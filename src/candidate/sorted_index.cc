@@ -149,7 +149,8 @@ SortedKeyIndex::NodePtr SortedKeyIndex::UnionFresh(
 }
 
 std::shared_ptr<SortedKeyIndex::Node> SortedKeyIndex::BuildFromSorted(
-    std::vector<IndexedEntry> sorted) {
+    std::vector<IndexedEntry> sorted,
+    std::vector<const IndexedEntry*>* placed) {
   // Cartesian-tree build over the rightmost spine: each entry joins as
   // the spine's new tail, adopting as left child everything it outranks.
   // Nodes are freshly allocated and unpublished, so mutating them here is
@@ -160,6 +161,7 @@ std::shared_ptr<SortedKeyIndex::Node> SortedKeyIndex::BuildFromSorted(
     auto node = std::make_shared<Node>();
     node->priority = EntryPriority(entry);
     node->entry = std::make_shared<const IndexedEntry>(std::move(entry));
+    placed->push_back(node->entry.get());
     std::shared_ptr<Node> displaced;
     while (!spine.empty() && spine.back()->priority < node->priority) {
       displaced = std::move(spine.back());
@@ -186,10 +188,49 @@ std::shared_ptr<SortedKeyIndex::Node> SortedKeyIndex::BuildFromSorted(
   return root;
 }
 
-void SortedKeyIndex::Apply(const std::vector<IndexedEntry>& removes,
-                           std::vector<IndexedEntry> inserts) {
+void SortedKeyIndex::RankSorted(const Node* n, size_t base,
+                                const IndexedEntry* const* first,
+                                const IndexedEntry* const* last,
+                                bool present, size_t* out) {
+  while (first != last) {
+    const auto probes = static_cast<size_t>(last - first);
+    if (n == nullptr) {
+      std::fill(out, out + probes, base);
+      return;
+    }
+    if (present && probes == n->count) {
+      for (size_t i = 0; i < probes; ++i) out[i] = base + i;
+      return;
+    }
+    const IndexedEntry& x = *n->entry;
+    const size_t left = Count(n->left.get());
+    if (x < **first) {  // every probe ranks right of x
+      base += left + 1;
+      n = n->right.get();
+      continue;
+    }
+    if (*last[-1] < x) {  // every probe ranks left of x
+      n = n->left.get();
+      continue;
+    }
+    // x splits the probes: those below it rank in the left subtree, one
+    // equal to it at x itself, the rest in the right subtree.
+    const IndexedEntry* const* below = std::partition_point(
+        first, last, [&x](const IndexedEntry* e) { return *e < x; });
+    RankSorted(n->left.get(), base, first, below, present, out);
+    out += below - first;
+    first = below;
+    base += left;
+    for (; first != last && !(x < **first); ++first) *out++ = base;
+    base += 1;
+    n = n->right.get();
+  }
+}
+
+SortedKeyIndex::BatchRanks SortedKeyIndex::Apply(
+    const std::vector<IndexedEntry>& removes,
+    std::vector<IndexedEntry> inserts) {
   for (const IndexedEntry& e : removes) Remove(e);
-  if (inserts.empty()) return;
   // Sort the batch into (key, side, seq) order without a full-string
   // comparison sort: an integer sort on (side, seq) first, then a stable
   // byte radix on the keys — profiling showed the comparison sort of the
@@ -208,8 +249,25 @@ void SortedKeyIndex::Apply(const std::vector<IndexedEntry>& removes,
   std::vector<IndexedEntry> sorted;
   sorted.reserve(inserts.size());
   for (uint32_t i : perm) sorted.push_back(std::move(inserts[i]));
-  std::shared_ptr<Node> batch = BuildFromSorted(std::move(sorted));
+  std::vector<const IndexedEntry*> placed;
+  placed.reserve(sorted.size());
+  std::shared_ptr<Node> batch = BuildFromSorted(std::move(sorted), &placed);
   root_ = UnionFresh(std::move(root_), std::move(batch));
+  std::vector<const IndexedEntry*> gone;
+  gone.reserve(removes.size());
+  for (const IndexedEntry& e : removes) gone.push_back(&e);
+  std::sort(gone.begin(), gone.end(),
+            [](const IndexedEntry* a, const IndexedEntry* b) {
+              return *a < *b;
+            });
+  BatchRanks ranks;
+  ranks.inserted.resize(placed.size());
+  RankSorted(root_.get(), 0, placed.data(), placed.data() + placed.size(),
+             /*present=*/true, ranks.inserted.data());
+  ranks.gaps.resize(gone.size());
+  RankSorted(root_.get(), 0, gone.data(), gone.data() + gone.size(),
+             /*present=*/false, ranks.gaps.data());
+  return ranks;
 }
 
 size_t SortedKeyIndex::LowerBound(const IndexedEntry& e) const {

@@ -32,17 +32,30 @@ class SortedKeyIndex {
   /// when it was not present. O(log n) expected.
   bool Remove(const IndexedEntry& entry);
 
+  /// Where one Apply batch sits in the order after it.
+  struct BatchRanks {
+    /// The ranks of the inserted entries, ascending.
+    std::vector<size_t> inserted;
+    /// Per removed entry, its LowerBound after the batch — the gap it
+    /// left, or its own rank when the batch inserted it again — ascending.
+    std::vector<size_t> gaps;
+  };
+
   /// Applies one batch of mutations: every entry of `removes` (matched
   /// exactly) leaves the index, every entry of `inserts` enters it.
-  /// Either list may be empty; entries never present are ignored. An
-  /// inserted entry equal to a present one lands immediately after it
-  /// (the stable position a duplicate would get from a stable sort).
+  /// Either list may be empty; entries never present are ignored.
+  /// Inserted entries must differ from each other and from every entry
+  /// left after the removals (a session's (side, seq) handles are
+  /// unique); otherwise the reported ranks are unspecified.
   /// Inserts are bulk-merged — the batch becomes a treap in O(m) (a
   /// Cartesian-tree build over the sorted batch) and is unioned in, for
   /// O(m · log(n/m)) expected instead of m separate root-to-leaf
-  /// insertions.
-  void Apply(const std::vector<IndexedEntry>& removes,
-             std::vector<IndexedEntry> inserts);
+  /// insertions. The returned ranks come from one walk of the merged
+  /// treap per list, O(m · log(n/m)) node visits instead of one
+  /// LowerBound per entry; into an empty index they are 0..m-1, read off
+  /// without a comparison.
+  BatchRanks Apply(const std::vector<IndexedEntry>& removes,
+                   std::vector<IndexedEntry> inserts);
 
   size_t size() const { return Count(root_.get()); }
   bool empty() const { return root_ == nullptr; }
@@ -96,9 +109,20 @@ class SortedKeyIndex {
                          std::shared_ptr<Node>* less,
                          std::shared_ptr<Node>* rest);
   /// Builds a treap from entries already in key order, O(m) (Cartesian
-  /// tree over the deterministic priorities).
+  /// tree over the deterministic priorities), and appends the stored
+  /// entries to `placed` in that order.
   static std::shared_ptr<Node> BuildFromSorted(
-      std::vector<IndexedEntry> sorted);
+      std::vector<IndexedEntry> sorted,
+      std::vector<const IndexedEntry*>* placed);
+  /// Writes base + LowerBound(*probe) within subtree `n` for each probe
+  /// of the sorted [first, last) to out[0..]: one descent that splits
+  /// the probes at each node it visits. `present` promises that every
+  /// probe is a distinct entry of the subtree, so a subtree holding as
+  /// many entries as probes is ranked without comparing.
+  static void RankSorted(const Node* n, size_t base,
+                         const IndexedEntry* const* first,
+                         const IndexedEntry* const* last, bool present,
+                         size_t* out);
 
   NodePtr root_;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -284,7 +283,8 @@ double NormalizedDamerauLevenshtein(std::string_view a, std::string_view b) {
 }
 
 size_t DlEditBudget(double theta, size_t longest) {
-  assert(theta >= 0 && theta <= 1 && "similarity threshold outside [0, 1]");
+  if (!(theta < 1)) return 0;      // θ >= 1 or NaN: no edit allowed
+  if (theta <= 0) return longest;  // θ <= 0: every edit allowed
   // The epsilon absorbs binary-representation error in (1 - theta): at
   // theta = 0.8 and length 5 the allowance must be exactly 1.0 edit, not
   // 0.9999999999999998.

@@ -58,8 +58,10 @@ double NormalizedDamerauLevenshtein(std::string_view a, std::string_view b);
 /// allowance must be exactly 1 edit, not 0.9999...). DlSimilar holds iff
 /// the DL distance is <= this budget; exported so a caller holding only
 /// the two lengths (the compiled evaluator, comparing EditSignatures)
-/// rejects against the exact same number. Requires θ ∈ [0, 1] (asserted):
-/// above 1 the allowance is negative and has no size_t value.
+/// rejects against the exact same number. Defined for every θ: 0 for
+/// θ >= 1 and for NaN (no normalized similarity reaches them), `longest`
+/// for θ <= 0 (every one does). So DlSimilar decides
+/// a == b || NormalizedDamerauLevenshtein(a, b) >= θ at any θ.
 size_t DlEditBudget(double theta, size_t longest);
 
 /// \brief A 32-byte summary of one string from which

@@ -13,6 +13,7 @@
 #include <map>
 #include <random>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -291,6 +292,83 @@ TEST_F(ApiSessionPropertyTest, SplitsWithRemovalWaveStillMatch) {
   CheckRandomSplit(5, /*num_threads=*/4, /*with_removals=*/true, 29);
   for (uint64_t seed : {7u, 29u}) {
     CheckRandomSplit(4, /*num_threads=*/4, /*with_removals=*/true, seed);
+  }
+}
+
+// A load in chunks of 1, 7 and 1,000 records, with the sides interleaved
+// or in blocks (left records first, as perfbench stages its standing
+// corpus), then a removal wave: after every flush the session equals
+// one-shot execution, and no flush evaluates a pair twice. The plan's one
+// rule is a logging predicate over a column rewritten to the record's
+// side and id, so each evaluated pair logs one line naming its records.
+TEST_F(ApiSessionPropertyTest, ChunkedLoadsEvaluateEachPairOnce) {
+  std::vector<std::pair<std::string, std::string>> evaluated;
+  bool logging = false;
+  auto logged = ops_.Register(
+      "logged-ids", [&evaluated, &logging](std::string_view a,
+                                           std::string_view b) {
+        if (logging) evaluated.emplace_back(a, b);
+        return a.back() == b.back();  // symmetric, about one pair in ten
+      });
+  ASSERT_TRUE(logged.ok()) << logged.status();
+  const AttrPair ids{data_.target.left()[0], data_.target.right()[0]};
+  auto plan = PlanBuilder(data_.pair, data_.target, &ops_)
+                  .WithSigma(data_.mds)
+                  .WithPrecompiledRcks(plan_->rcks())
+                  .WithSortKeys(plan_->sort_keys())
+                  .WithRules({RelativeKey({Conjunct{ids, *logged}})})
+                  .Build();
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  std::vector<std::pair<int, Tuple>> records[2];  // [interleaved, blocks]
+  for (int side = 0; side < 2; ++side) {
+    const Relation& rel = data_.instance.side(side);
+    for (uint32_t i = 0; i < rel.size(); ++i) {
+      Tuple tuple = rel.tuple(i);
+      tuple.set_value(side == 0 ? ids.left : ids.right,
+                      std::string(side == 0 ? "L" : "R")
+                          .append(std::to_string(tuple.id())));
+      records[1].emplace_back(side, std::move(tuple));
+    }
+  }
+  // Interleaved: left 0, right 0, left 1, right 1, ...
+  const size_t left = data_.instance.left().size();
+  for (size_t l = 0, r = left; l < left || r < records[1].size();) {
+    if (l < left) records[0].push_back(records[1][l++]);
+    if (r < records[1].size()) records[0].push_back(records[1][r++]);
+  }
+
+  auto flush = [&](MatchSession* session, const std::string& context) {
+    evaluated.clear();
+    logging = true;
+    auto report = session->Flush();
+    logging = false;
+    ASSERT_TRUE(report.ok()) << report.status();
+    ASSERT_EQ(evaluated.size(), report->pairs_evaluated) << context;
+    std::sort(evaluated.begin(), evaluated.end());
+    ASSERT_EQ(std::adjacent_find(evaluated.begin(), evaluated.end()),
+              evaluated.end())
+        << context << ": a pair was evaluated twice";
+    ASSERT_NO_FATAL_FAILURE(AssertEqualsOneShot(*plan, *session, context));
+  };
+  for (size_t chunk : {1, 7, 1000}) {
+    for (int order = 0; order < 2; ++order) {
+      const std::string context = "chunk=" + std::to_string(chunk) +
+                                  (order == 0 ? " interleaved" : " blocks");
+      MatchSession session(*plan);
+      const auto& load = records[order];
+      for (size_t i = 0; i < load.size(); ++i) {
+        ASSERT_TRUE(session.Upsert(load[i].first, load[i].second).ok());
+        if ((i + 1) % chunk == 0 || i + 1 == load.size()) {
+          ASSERT_NO_FATAL_FAILURE(
+              flush(&session, context + " at " + std::to_string(i + 1)));
+        }
+      }
+      ASSERT_GT(session.Matches().size(), 0u);
+      for (size_t i = 0; i < load.size(); i += 4) {
+        ASSERT_TRUE(session.Remove(load[i].first, load[i].second.id()).ok());
+      }
+      ASSERT_NO_FATAL_FAILURE(flush(&session, context + " removal wave"));
+    }
   }
 }
 

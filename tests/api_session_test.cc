@@ -185,6 +185,56 @@ TEST_F(ApiSessionTest, WidestWindowMatchesOneShot) {
   ExpectSessionEqualsOneShot(*plan, session);
 }
 
+// A load into an empty session is the one-shot sort-then-window: its one
+// flush evaluates exactly the pairs Executor::Run compares over the same
+// corpus, and asks the index for no rank.
+TEST_F(ApiSessionTest, OneFlushLoadEvaluatesTheOneShotCandidates) {
+  auto base = BuildPlan();
+  ASSERT_TRUE(base.ok()) << base.status();
+  const std::vector<match::KeyFunction>& keys = (*base)->sort_keys();
+  ASSERT_GE(keys.size(), 3u);
+  struct Case {
+    const char* name;
+    std::vector<match::KeyFunction> keys;
+    size_t window;
+    bool blocking;
+  };
+  const std::vector<Case> cases = {
+      {"1 pass", {keys[0]}, 10, false},
+      {"3 passes", {keys[0], keys[1], keys[2]}, 10, false},
+      {"the same key twice", {keys[1], keys[1]}, 10, false},
+      {"window 2", {keys[0], keys[1], keys[2]}, 2, false},
+      {"a window wider than the corpus", {keys[0], keys[2]}, 5000, false},
+      {"blocking", {}, 10, true},
+  };
+  const size_t rows =
+      std::max(data_.instance.left().size(), data_.instance.right().size());
+  for (const Case& c : cases) {
+    PlanOptions options;
+    options.window_size = c.window;
+    if (c.blocking) options.candidates = PlanOptions::Candidates::kBlocking;
+    PlanBuilder builder(data_.pair, data_.target, &ops_);
+    builder.WithSigma(data_.mds)
+        .WithOptions(options)
+        .WithTrainingInstance(&data_.instance)
+        .WithPrecompiledRcks((*base)->rcks());
+    if (!c.blocking) builder.WithSortKeys(c.keys);
+    auto plan = builder.Build();
+    ASSERT_TRUE(plan.ok()) << c.name << ": " << plan.status();
+
+    MatchSession session(*plan);
+    UpsertRange(&session, 0, rows);
+    auto load = session.Flush();
+    ASSERT_TRUE(load.ok()) << load.status();
+    auto oneshot = Executor(*plan).Run(session.Corpus());
+    ASSERT_TRUE(oneshot.ok()) << oneshot.status();
+    EXPECT_GT(oneshot->pairs_compared, 0u) << c.name;
+    EXPECT_EQ(load->pairs_evaluated, oneshot->pairs_compared) << c.name;
+    EXPECT_EQ(load->rank_queries, 0u) << c.name;
+    ExpectSessionEqualsOneShot(*plan, session);
+  }
+}
+
 TEST_F(ApiSessionTest, IncrementalBlockingMatchesOneShot) {
   PlanOptions options;
   options.candidates = PlanOptions::Candidates::kBlocking;

@@ -197,6 +197,74 @@ TEST(SortedKeyIndexTest, CopiesAreFrozenSnapshots) {
   EXPECT_EQ(index.size(), 50u - 25u + 40u);
 }
 
+// The ranks and gaps Apply reports are what LowerBound answers after the
+// batch, ascending: over random batches with removals, keys equal across
+// sides, and an entry removed and inserted again in one batch.
+TEST(SortedKeyIndexTest, ApplyReportsBatchRanksAscending) {
+  {
+    SortedKeyIndex index;
+    std::vector<IndexedEntry> batch;
+    for (uint32_t i = 0; i < 50; ++i) {
+      batch.push_back({std::string(1, static_cast<char>('a' + i % 7)),
+                       static_cast<uint8_t>(i % 2), i});
+    }
+    const SortedKeyIndex::BatchRanks ranks = index.Apply({}, batch);
+    std::vector<size_t> all(batch.size());
+    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+    EXPECT_EQ(ranks.inserted, all);  // an empty base ranks 0..m-1
+    EXPECT_TRUE(ranks.gaps.empty());
+  }
+
+  std::mt19937 rng(2027);
+  SortedKeyIndex index;
+  std::vector<IndexedEntry> present;
+  uint32_t next_seq = 0;
+  size_t reinserted = 0;
+  for (int round = 0; round < 80; ++round) {
+    std::vector<IndexedEntry> inserts;
+    const size_t num_inserts = rng() % 30;
+    for (size_t i = 0; i < num_inserts; ++i) {
+      inserts.push_back({std::string(1, static_cast<char>('a' + rng() % 3)) +
+                             std::string(1, static_cast<char>('a' + rng() % 3)),
+                         static_cast<uint8_t>(rng() % 2), next_seq++});
+    }
+    std::shuffle(present.begin(), present.end(), rng);
+    const size_t num_removes =
+        present.empty() ? 0 : rng() % std::min<size_t>(present.size(), 12);
+    std::vector<IndexedEntry> removes(present.end() - num_removes,
+                                      present.end());
+    present.resize(present.size() - num_removes);
+    if (!present.empty() && round % 3 == 0) {
+      removes.push_back(present.back());  // out and back in
+      inserts.push_back(present.back());
+      present.pop_back();
+      ++reinserted;
+    }
+
+    const SortedKeyIndex::BatchRanks ranks = index.Apply(removes, inserts);
+    present.insert(present.end(), inserts.begin(), inserts.end());
+    ASSERT_EQ(index.size(), present.size());
+    std::vector<size_t> want_ranks;
+    for (const IndexedEntry& e : inserts) {
+      want_ranks.push_back(index.LowerBound(e));
+    }
+    std::sort(want_ranks.begin(), want_ranks.end());
+    EXPECT_EQ(ranks.inserted, want_ranks) << "round " << round;
+    std::vector<size_t> want_gaps;
+    for (const IndexedEntry& e : removes) {
+      want_gaps.push_back(index.LowerBound(e));
+    }
+    std::sort(want_gaps.begin(), want_gaps.end());
+    EXPECT_EQ(ranks.gaps, want_gaps) << "round " << round;
+    // Each reported rank holds an inserted entry.
+    for (const size_t rank : ranks.inserted) {
+      EXPECT_NE(std::find(inserts.begin(), inserts.end(), At(index, rank)),
+                inserts.end());
+    }
+  }
+  EXPECT_GT(reinserted, 0u);
+}
+
 // ------------------------------------------------- SortedKeyPermutation
 
 TEST(SortedKeyPermutationTest, MatchesStableSortIncludingTies) {
@@ -382,18 +450,29 @@ TEST(IndexSnapshotTest, AdvanceLeavesSharedBaseUntouched) {
     inserts[1].push_back({std::string("j").append(std::to_string(i)), 0, i});
   }
   IndexSnapshotPtr held = base;
+  std::vector<SortedKeyIndex::BatchRanks> ranks;
   IndexSnapshotPtr next = IndexSnapshot::Advance(
       *base, std::vector<std::vector<IndexedEntry>>(2), std::move(inserts),
-      {}, {});
+      {}, {}, &ranks);
   EXPECT_EQ(held->window_passes()[0].size(), 0u);
   EXPECT_EQ(next->window_passes()[0].size(), 20u);
   EXPECT_EQ(next->window_passes()[1].size(), 20u);
+  // Into empty passes, every pass reports the batch at ranks 0..19.
+  ASSERT_EQ(ranks.size(), 2u);
+  for (const SortedKeyIndex::BatchRanks& pass : ranks) {
+    EXPECT_EQ(pass.inserted.size(), 20u);
+    for (size_t i = 0; i < pass.inserted.size(); ++i) {
+      EXPECT_EQ(pass.inserted[i], i);
+    }
+    EXPECT_TRUE(pass.gaps.empty());
+  }
 }
 
 TEST(IndexSnapshotTest, BlockIndexClonedOnlyWhenShared) {
   IndexSnapshotPtr snapshot = IndexSnapshot::Empty(0, /*blocking=*/true);
   std::vector<IndexedEntry> inserts = {{"blk", 0, 1}, {"blk", 1, 2}};
-  snapshot = IndexSnapshot::Advance(*snapshot, {}, {}, {}, inserts);
+  std::vector<SortedKeyIndex::BatchRanks> ranks;
+  snapshot = IndexSnapshot::Advance(*snapshot, {}, {}, {}, inserts, &ranks);
   const BlockIndex* before = snapshot->block();
   ASSERT_NE(before, nullptr);
   ASSERT_NE(before->Find("blk"), nullptr);
@@ -402,7 +481,7 @@ TEST(IndexSnapshotTest, BlockIndexClonedOnlyWhenShared) {
   IndexSnapshotPtr held = snapshot;
   std::vector<IndexedEntry> removes = {{"blk", 0, 1}};
   IndexSnapshotPtr next =
-      IndexSnapshot::Advance(*snapshot, {}, {}, removes, {});
+      IndexSnapshot::Advance(*snapshot, {}, {}, removes, {}, &ranks);
   ASSERT_NE(held->block()->Find("blk"), nullptr);
   EXPECT_EQ(held->block()->Find("blk")->left.size(), 1u);
   EXPECT_EQ(next->block()->Find("blk")->left.size(), 0u);
@@ -530,7 +609,8 @@ TEST(BlockIndexTest, FrozenSnapshotsExposeNoMutablePath) {
   IndexSnapshotPtr snapshot = IndexSnapshot::Empty(0, /*blocking=*/true);
   std::vector<IndexedEntry> inserts = {{"a", 0, 1}, {"a", 1, 2},
                                        {"b", 0, 3}};
-  snapshot = IndexSnapshot::Advance(*snapshot, {}, {}, {}, inserts);
+  std::vector<SortedKeyIndex::BatchRanks> ranks;
+  snapshot = IndexSnapshot::Advance(*snapshot, {}, {}, {}, inserts, &ranks);
   IndexSnapshotPtr frozen = snapshot;
 
   // Hammer the same blocks through several descendant versions.
@@ -540,7 +620,8 @@ TEST(BlockIndexTest, FrozenSnapshotsExposeNoMutablePath) {
     std::vector<IndexedEntry> removes =
         v == 4 ? std::vector<IndexedEntry>{{"a", 1, 2}}
                : std::vector<IndexedEntry>{};
-    snapshot = IndexSnapshot::Advance(*snapshot, {}, {}, removes, more);
+    snapshot =
+        IndexSnapshot::Advance(*snapshot, {}, {}, removes, more, &ranks);
   }
 
   const BlockIndex::Block* a = frozen->block()->Find("a");

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -203,6 +204,43 @@ TEST(CompiledEvaluatorTest, ProfiledEditAtomsAgreeAtBudgetBoundaries) {
   }
   EXPECT_GT(similar, 0u);
   EXPECT_GT(dissimilar, 0u);
+}
+
+// A library caller may register a θ-DL operator at any θ. θ >= 1 and NaN
+// allow no edit and θ <= 0 every edit, so DlSimilar, the registry's
+// predicate and a compiled θ-DL atom all decide
+// a == b || NormalizedDamerauLevenshtein(a, b) >= θ.
+TEST(CompiledEvaluatorTest, DlThresholdsOutsideTheUnitIntervalAreDefined) {
+  const std::vector<std::string> words = {
+      "",      "a",     "smith",    "smyth",     "smiht",
+      "jones", "jonas", "mcdonald", "macdonald", "x"};
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double theta : {1.5, 1 + 1e-12, -0.5, inf, -inf, nan}) {
+    sim::SimOpRegistry ops;
+    const sim::SimOpId dl = ops.Dl(theta);
+    const CompiledEvaluator eval =
+        CompiledEvaluator::ForRules({RelativeKey({C(0, 0, dl)})}, ops);
+    size_t similar = 0;
+    for (const std::string& a : words) {
+      for (const std::string& b : words) {
+        const bool want =
+            a == b || sim::NormalizedDamerauLevenshtein(a, b) >= theta;
+        EXPECT_EQ(sim::DlSimilar(a, b, theta), want)
+            << theta << " '" << a << "' vs '" << b << "'";
+        EXPECT_EQ(ops.Eval(dl, a, b), want)
+            << theta << " '" << a << "' vs '" << b << "'";
+        EXPECT_EQ(Decide(eval, Tuple(1, {a}), Tuple(2, {b})), want)
+            << theta << " '" << a << "' vs '" << b << "'";
+        similar += want ? 1 : 0;
+      }
+    }
+    // θ <= 0 holds for every pair; θ >= 1 and NaN only for equal values.
+    EXPECT_EQ(similar, theta <= 0 ? words.size() * words.size()
+                                  : words.size())
+        << theta;
+    EXPECT_EQ(sim::DlEditBudget(theta, 9), theta <= 0 ? 9u : 0u) << theta;
+  }
 }
 
 // ------------------------------------------------ Fellegi-Sunter mode

@@ -103,8 +103,9 @@ void PrintUsage(FILE* out) {
       "  --stats                          print per-flush phase timings\n"
       "                                   (index merge, candidate scan,\n"
       "                                   pair eval, drift re-rank,\n"
-      "                                   publish), staging queue depth\n"
-      "                                   and coalesced deltas\n"
+      "                                   publish), index rank queries,\n"
+      "                                   staging queue depth and\n"
+      "                                   coalesced deltas\n"
       "  --async                          ingest through a background\n"
       "                                   stream::IngestDriver: ops stage\n"
       "                                   into a bounded queue, a flusher\n"
@@ -602,10 +603,12 @@ int CmdStream(const Args& args) {
                 static_cast<unsigned long long>(report.generation));
     if (!stats) return;
     std::printf("  phases: merge %.4fs, scan %.4fs, eval %.4fs, rerank "
-                "%.4fs (index %.4fs, match %.4fs, cluster %.4fs)\n",
+                "%.4fs, %zu rank queries (index %.4fs, match %.4fs, cluster "
+                "%.4fs)\n",
                 report.merge_seconds, report.scan_seconds, report.eval_seconds,
-                report.rerank_seconds, report.index_seconds,
-                report.match_seconds, report.cluster_seconds);
+                report.rerank_seconds, report.rank_queries,
+                report.index_seconds, report.match_seconds,
+                report.cluster_seconds);
     std::printf("  publish: %.4fs%s, %zu bytes copied\n",
                 report.publish_seconds,
                 report.match_reused ? " (match state reused)" : "",
