@@ -1,7 +1,7 @@
 // Pair-evaluation throughput: naive vs compiled.
 //
-// Rule evaluation is the dominant stage of every batch and session flush
-// (BENCH_session), so this bench isolates exactly the per-pair decision:
+// Rule evaluation is the dominant stage of every batch and session
+// flush, so this bench isolates exactly the per-pair decision:
 // the same candidate pairs are classified two ways —
 //   naive:    the pre-compiled-engine path (AnyRuleMatches /
 //             FsModel::IsMatch re-dispatching every conjunct through the

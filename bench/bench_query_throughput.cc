@@ -148,7 +148,7 @@ int main() {
   sim::SimOpRegistry ops;
   datagen::CreditBillingOptions gen;
   // K = 20000 base tuples + 80% duplicates, 80% preloaded: the ~57.6k
-  // standing corpus of BENCH_session.
+  // standing corpus of perfbench's session workloads.
   gen.num_base = TinyRun() ? 300 : (bench::FullRun() ? 20000 : 4000);
   gen.seed = 7300;
   datagen::CreditBillingData data = datagen::GenerateCreditBilling(gen, &ops);

@@ -1,9 +1,7 @@
 #include "api/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <thread>
 #include <utility>
 
 #include "api/parallel.h"
@@ -33,7 +31,6 @@ Status Executor::CheckBatch(const Instance& batch) const {
 }
 
 ExecutionReport Executor::RunChecked(const Instance& batch,
-                                     size_t match_threads,
                                      const MatchSink* sink) const {
   const MatchPlan& plan = *plan_;
   ExecutionReport report;
@@ -74,7 +71,7 @@ ExecutionReport Executor::RunChecked(const Instance& batch,
 
     // Scale workers so each gets at least min_pairs_per_thread pairs;
     // below that the stage stays sequential.
-    size_t workers = match_threads;
+    size_t workers = options_.num_threads;
     if (options_.min_pairs_per_thread > 0) {
       workers = std::min(workers,
                          pairs.size() / options_.min_pairs_per_thread);
@@ -126,49 +123,13 @@ ExecutionReport Executor::RunChecked(const Instance& batch,
 
 Result<ExecutionReport> Executor::Run(const Instance& batch) const {
   MDMATCH_RETURN_NOT_OK(CheckBatch(batch));
-  return RunChecked(batch, options_.num_threads, nullptr);
+  return RunChecked(batch, nullptr);
 }
 
 Result<ExecutionReport> Executor::Run(const Instance& batch,
                                       const MatchSink& sink) const {
   MDMATCH_RETURN_NOT_OK(CheckBatch(batch));
-  return RunChecked(batch, options_.num_threads, &sink);
-}
-
-Result<std::vector<ExecutionReport>> Executor::RunBatches(
-    const std::vector<const Instance*>& batches) const {
-  for (const Instance* batch : batches) {
-    if (batch == nullptr) {
-      return Status::InvalidArgument("RunBatches: null batch");
-    }
-    MDMATCH_RETURN_NOT_OK(CheckBatch(*batch));
-  }
-
-  std::vector<ExecutionReport> reports(batches.size());
-  if (options_.num_threads <= 1 || batches.size() <= 1) {
-    for (size_t i = 0; i < batches.size(); ++i) {
-      // Sequential mode still honors in-batch parallelism.
-      reports[i] = RunChecked(*batches[i], options_.num_threads, nullptr);
-    }
-    return reports;
-  }
-
-  // Whole batches are the unit of parallelism; workers pull the next
-  // unprocessed index so skewed batch sizes balance out.
-  std::atomic<size_t> next{0};
-  const size_t workers = std::min(options_.num_threads, batches.size());
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([&] {
-      for (size_t i = next.fetch_add(1); i < batches.size();
-           i = next.fetch_add(1)) {
-        reports[i] = RunChecked(*batches[i], /*match_threads=*/1, nullptr);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  return reports;
+  return RunChecked(batch, &sink);
 }
 
 }  // namespace mdmatch::api

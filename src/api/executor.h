@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "api/plan.h"
 #include "match/evaluation.h"
@@ -17,7 +16,7 @@ namespace mdmatch::api {
 /// plan, never about *what* the plan computes (that is fixed at compile
 /// time by PlanBuilder).
 struct ExecutorOptions {
-  /// Worker threads for the pair-matching stage and for RunBatches.
+  /// Worker threads for the pair-matching stage.
   /// 1 = fully sequential. Results are identical for every thread count.
   size_t num_threads = 1;
   /// Minimum candidate pairs per worker: the match stage spawns at most
@@ -79,15 +78,9 @@ class Executor {
   Result<ExecutionReport> Run(const Instance& batch,
                               const MatchSink& sink) const;
 
-  /// Executes the plan over many batches, distributing whole batches over
-  /// the thread pool (each batch itself runs sequentially). Reports are
-  /// returned in input order; the first failing batch aborts the call.
-  Result<std::vector<ExecutionReport>> RunBatches(
-      const std::vector<const Instance*>& batches) const;
-
  private:
   Status CheckBatch(const Instance& batch) const;
-  ExecutionReport RunChecked(const Instance& batch, size_t match_threads,
+  ExecutionReport RunChecked(const Instance& batch,
                              const MatchSink* sink) const;
 
   PlanPtr plan_;

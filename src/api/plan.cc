@@ -97,11 +97,6 @@ PlanBuilder& PlanBuilder::WithQuality(QualityModel quality) {
   return *this;
 }
 
-PlanBuilder& PlanBuilder::UpdateQuality(QualityModel* external) {
-  external_quality_ = external;
-  return *this;
-}
-
 PlanBuilder& PlanBuilder::WithTrainingInstance(const Instance* instance,
                                                bool estimate_lengths) {
   training_ = instance;
@@ -176,9 +171,8 @@ Result<PlanPtr> PlanBuilder::Build() {
   plan->options_ = options_;
   plan->ops_ = ops_;
 
-  QualityModel* quality = external_quality_ ? external_quality_ : &quality_;
   if (training_ != nullptr && estimate_lengths_) {
-    quality->EstimateLengthsFromData(*training_, sigma_, target_);
+    quality_.EstimateLengthsFromData(*training_, sigma_, target_);
   }
 
   CompileStats stats;
@@ -191,7 +185,7 @@ Result<PlanPtr> PlanBuilder::Build() {
     FindRcksOptions fopt;
     fopt.m = options_.num_rcks;
     FindRcksResult found =
-        FindRcks(pair_, *ops_, sigma_, target_, fopt, quality);
+        FindRcks(pair_, *ops_, sigma_, target_, fopt, &quality_);
     plan->rcks_ = std::move(found.rcks);
     stats.closure_calls = found.closure_calls;
     stats.deduced = true;
@@ -214,7 +208,7 @@ Result<PlanPtr> PlanBuilder::Build() {
       } else {
         for (const auto& key : top) {
           plan->sort_keys_.push_back(match::KeyFunction::FromKeyElementsByCost(
-              key, pair_, *quality, options_.key_attrs,
+              key, pair_, quality_, options_.key_attrs,
               options_.soundex_domains));
         }
       }
@@ -227,7 +221,7 @@ Result<PlanPtr> PlanBuilder::Build() {
           for (const auto& e : top[i].elements()) merged.AddUnique(e);
         }
         plan->block_key_ = match::KeyFunction::FromKeyElementsByCost(
-            merged, pair_, *quality, options_.key_attrs,
+            merged, pair_, quality_, options_.key_attrs,
             options_.soundex_domains);
       }
     }
@@ -293,7 +287,7 @@ Result<PlanPtr> PlanBuilder::Build() {
     }
   }
 
-  plan->quality_ = *quality;
+  plan->quality_ = quality_;
   plan->stats_ = stats;
   return PlanPtr(std::move(plan));
 }

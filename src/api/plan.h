@@ -177,12 +177,6 @@ class PlanBuilder {
   /// QualityModel() when not called.
   PlanBuilder& WithQuality(QualityModel quality);
 
-  /// Uses (and mutates) the caller's quality model during compilation
-  /// instead of the internal copy — findRCKs fills its diversity counters,
-  /// so the caller can inspect them afterwards. The pointer is only used
-  /// during Build.
-  PlanBuilder& UpdateQuality(QualityModel* external);
-
   /// Data used at compile time: estimates attribute lengths for the
   /// quality model (when `estimate_lengths`) and trains the
   /// Fellegi-Sunter model for FS plans. The pointer is only used during
@@ -224,7 +218,6 @@ class PlanBuilder {
   MdSet sigma_;
   PlanOptions options_;
   QualityModel quality_;
-  QualityModel* external_quality_ = nullptr;
   const Instance* training_ = nullptr;
   bool estimate_lengths_ = true;
 

@@ -69,8 +69,10 @@ void ReportStanding(const SessionGeneration& gen, IngestReport* report) {
 }
 
 /// Sorts and dedupes `v` in place: the record and handle sets of a flush
-/// are sorted vectors probed by binary search.
-void SortUnique(std::vector<uint64_t>* v) {
+/// are sorted vectors probed by binary search, and the drift check visits
+/// each suspect pair once.
+template <typename T>
+void SortUnique(std::vector<T>* v) {
   std::sort(v->begin(), v->end());
   v->erase(std::unique(v->begin(), v->end()), v->end());
 }
@@ -623,9 +625,9 @@ void MatchSession::RetireDriftLocked(FlushDelta* delta,
   // order that straddle an insertion point.
   const auto& slots = slots_;
   const auto& pairs = pairs_;
-  match::PairSet suspects;
+  SeqPairs suspects;
   auto suspect = [&suspects, &slots, &pairs](uint32_t l, uint32_t r) {
-    if (Standing(slots, pairs, l, r)) suspects.Add(l, r);
+    if (Standing(slots, pairs, l, r)) suspects.emplace_back(l, r);
   };
   const std::vector<size_t> none;
   std::vector<size_t> points;
@@ -653,9 +655,11 @@ void MatchSession::RetireDriftLocked(FlushDelta* delta,
                       });
     }
   }
-  // Re-rank each suspect in the new order; retire it — an edge its
-  // cluster loses — unless some pass keeps it within the window.
-  for (const auto& [l, r] : suspects.pairs()) {
+  // Re-rank each suspect in the new order (once: a pair can straddle
+  // insertions in several passes); retire it — an edge its cluster
+  // loses — unless some pass keeps it within the window.
+  SortUnique(&suspects);
+  for (const auto& [l, r] : suspects) {
     const Record& left = *slots_[0][l].record;
     const Record& right = *slots_[1][r].record;
     bool kept = false;
@@ -795,7 +799,6 @@ void MatchSession::SwapInLocked(SharedMatchStatePtr state,
   state_version_ = state->version;
   auto gen = std::make_shared<SessionGeneration>();
   gen->generation = next_generation_++;
-  gen->parent_generation = gen->generation - 1;
   gen->state = std::move(state);
   ReportStanding(*gen, report);
   // The only writer-side touch of the publication latch: one pointer

@@ -195,9 +195,6 @@ struct SessionGeneration {
   /// Monotonic per-session publication counter (0 = the empty initial
   /// generation).
   uint64_t generation = 0;
-  /// The generation this one was published after (generation - 1 in an
-  /// unbroken chain).
-  uint64_t parent_generation = 0;
   /// The queryable state (never null).
   SharedMatchStatePtr state;
 };

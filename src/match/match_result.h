@@ -19,9 +19,8 @@ inline constexpr uint64_t PairKey(uint32_t left_index, uint32_t right_index) {
 /// \brief A deduplicated set of cross-relation tuple pairs, addressed by
 /// tuple *positions* (index into instance.left() / instance.right()).
 ///
-/// Used for declared matches, which callers probe and merge, and for the
-/// pairs a session's drift check suspects. pairs() keeps first-insertion
-/// order.
+/// Used for declared matches, which callers probe and merge. pairs()
+/// keeps first-insertion order.
 class PairSet {
  public:
   /// Adds (left_index, right_index); returns true if newly inserted.

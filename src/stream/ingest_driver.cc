@@ -135,7 +135,7 @@ void IngestDriver::FanOut(const std::shared_ptr<const MatchDelta>& delta) {
     util::MutexLock lock(sub->mu);
     if (sub->lagging) {
       // Resync pending: it will cover this generation too.
-    } else if (sub->queue.size() >= sub->capacity) {
+    } else if (sub->queue.size() >= options_.subscriber_queue_capacity) {
       // Slow subscriber: drop the backlog, one resync replaces it.
       sub->queue.clear();
       sub->lagging = true;
@@ -194,9 +194,6 @@ IngestDriver::SubscriptionId IngestDriver::Subscribe(
     MatchDeltaSink* sink, SubscribeOptions options) {
   auto sub = std::make_shared<Subscriber>();
   sub->sink = sink;
-  sub->capacity = options.queue_capacity > 0
-                      ? options.queue_capacity
-                      : options_.subscriber_queue_capacity;
   // Registration and the generation read happen under the fan-out mutex,
   // so the subscription either receives a generation's delta or starts at
   // (or past) it — never misses one in between. The delivery thread also

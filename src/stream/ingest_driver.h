@@ -30,8 +30,9 @@ struct IngestDriverOptions {
   /// immediately (retryable — the queue drains as flushes complete).
   enum class Backpressure { kBlock, kReject };
   Backpressure backpressure = Backpressure::kBlock;
-  /// Default per-subscription delivery-queue bound, in deltas
-  /// (overridable per subscription; see SubscribeOptions).
+  /// Bound of each subscription's delivery queue, in deltas. When the
+  /// flusher finds a queue full it drops everything queued and marks the
+  /// subscription for resync (the slow-subscriber policy).
   size_t subscriber_queue_capacity = 256;
 };
 
@@ -150,7 +151,6 @@ class IngestDriver {
 
   struct Subscriber {
     MatchDeltaSink* sink = nullptr;
-    size_t capacity = 0;
     util::Mutex mu;
     util::CondVar cv;
     std::deque<std::shared_ptr<const MatchDelta>> queue GUARDED_BY(mu);

@@ -1,8 +1,6 @@
 #ifndef MDMATCH_STREAM_SINK_H_
 #define MDMATCH_STREAM_SINK_H_
 
-#include <cstddef>
-
 #include "stream/delta.h"
 
 namespace mdmatch::stream {
@@ -22,13 +20,9 @@ class MatchDeltaSink {
   virtual void OnDelta(const MatchDelta& delta) = 0;
 };
 
-/// Per-subscription knobs of IngestDriver::Subscribe.
+/// Per-subscription knobs of IngestDriver::Subscribe. The delivery queue
+/// bound is the driver's (IngestDriverOptions::subscriber_queue_capacity).
 struct SubscribeOptions {
-  /// Bound of this subscription's delivery queue, in deltas; 0 uses the
-  /// driver's IngestDriverOptions::subscriber_queue_capacity. When the
-  /// flusher finds the queue full it drops everything queued and marks
-  /// the subscription for resync (the slow-subscriber policy).
-  size_t queue_capacity = 0;
   /// Deliver the driver's current standing state as one resync delta
   /// before any incremental diffs — for subscribers attaching to a
   /// non-empty session. Without it a subscription starts at the current

@@ -4,13 +4,15 @@
 // published version, never a torn mix — even while a flusher thread
 // churns the corpus. The consistency oracle is the session's own
 // equivalence contract: a view's Matches() must be exactly what one-shot
-// Executor::Run produces over that same view's Corpus().
+// Executor::Run produces over that same view's Corpus(). Publishing is
+// O(delta): a one-record flush copies a sliver of what a load copies.
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -268,6 +270,83 @@ TEST_F(ApiGenerationTest, ReadersSeeConsistentGenerationsBlocking) {
   auto plan = BuildPlan(options);
   ASSERT_TRUE(plan.ok());
   RunReadersVsFlusher(*plan, data_);
+}
+
+/// publish_bytes_copied of a whole-corpus load and of three one-record
+/// flushes after it (an insert, an update and a removal).
+struct PublishCopies {
+  size_t load = 0;
+  std::array<size_t, 3> one_record{};
+};
+
+void MeasurePublish(size_t k, PlanOptions::Candidates candidates,
+                    PublishCopies* out) {
+  sim::SimOpRegistry ops;
+  datagen::CreditBillingOptions gen;
+  gen.num_base = k;
+  gen.seed = 7;
+  const datagen::CreditBillingData data =
+      datagen::GenerateCreditBilling(gen, &ops);
+  PlanOptions options;
+  options.candidates = candidates;
+  auto plan = PlanBuilder(data.pair, data.target, &ops)
+                  .WithSigma(data.mds)
+                  .WithOptions(options)
+                  .WithTrainingInstance(&data.instance)
+                  .Build();
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  // Everything but the last left record, in one flush.
+  const Relation& left = data.instance.left();
+  const Relation& right = data.instance.right();
+  MatchSession session(*plan);
+  for (size_t i = 0; i + 1 < left.size(); ++i) {
+    ASSERT_TRUE(session.Upsert(0, left.tuple(i)).ok());
+  }
+  ASSERT_TRUE(session.Upsert(1, right.tuples()).ok());
+  auto load = session.Flush();
+  ASSERT_TRUE(load.ok());
+  out->load = load->publish_bytes_copied;
+
+  Tuple updated = left.tuple(0);
+  updated.set_value(0, updated.value(0) + "~");
+  const std::function<Status()> stage[3] = {
+      [&] { return session.Upsert(0, left.tuple(left.size() - 1)); },
+      [&] { return session.Upsert(0, updated); },
+      [&] { return session.Remove(1, right.tuple(0).id()); },
+  };
+  for (size_t step = 0; step < 3; ++step) {
+    ASSERT_TRUE(stage[step]().ok());
+    auto flushed = session.Flush();
+    ASSERT_TRUE(flushed.ok());
+    ASSERT_EQ(flushed->upserted + flushed->removed, 1u);
+    out->one_record[step] = flushed->publish_bytes_copied;
+  }
+}
+
+// The O(delta) publish: a one-record flush path-copies the few trie nodes
+// its record and pairs touch and shares the rest with the previous
+// generation, so what it copies is a sliver of a load and grows with the
+// tries' depth, not with the corpus.
+TEST_F(ApiGenerationTest, PublishCopiesOnlyTheDelta) {
+  const char* const kFlushes[] = {"insert", "update", "remove"};
+  for (const auto candidates : {PlanOptions::Candidates::kWindowing,
+                                PlanOptions::Candidates::kBlocking}) {
+    PublishCopies small;
+    PublishCopies large;
+    ASSERT_NO_FATAL_FAILURE(MeasurePublish(300, candidates, &small));
+    ASSERT_NO_FATAL_FAILURE(MeasurePublish(1200, candidates, &large));
+    // A load copies the whole corpus: about 4x at 4x the records.
+    EXPECT_GT(large.load, 3 * small.load);
+    for (size_t step = 0; step < 3; ++step) {
+      SCOPED_TRACE(kFlushes[step]);
+      EXPECT_GT(small.one_record[step], 0u);
+      EXPECT_GT(large.one_record[step], 0u);
+      // At most 2% of the load, and at most 2x from K = 300 to 1200.
+      EXPECT_LE(large.one_record[step] * 50, large.load);
+      EXPECT_LE(large.one_record[step], 2 * small.one_record[step]);
+    }
+  }
 }
 
 TEST_F(ApiGenerationTest, QueriesAnswerFromPublishedStateNotStaged) {

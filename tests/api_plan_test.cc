@@ -166,28 +166,6 @@ TEST_F(ApiPlanTest, ConcurrentExecutionOverDisjointBatches) {
   EXPECT_EQ(FindRcksInvocationCount(), deductions_after_compile);
 }
 
-TEST_F(ApiPlanTest, RunBatchesMatchesPerBatchRuns) {
-  auto plan = BuildPlan();
-  ASSERT_TRUE(plan.ok()) << plan.status();
-
-  std::vector<Instance> batches = SplitBatches(3);
-  std::vector<const Instance*> pointers;
-  for (const Instance& b : batches) pointers.push_back(&b);
-
-  ExecutorOptions options;
-  options.num_threads = 4;
-  auto reports = Executor(*plan, options).RunBatches(pointers);
-  ASSERT_TRUE(reports.ok()) << reports.status();
-  ASSERT_EQ(reports->size(), batches.size());
-
-  for (size_t i = 0; i < batches.size(); ++i) {
-    auto solo = Executor(*plan).Run(batches[i]);
-    ASSERT_TRUE(solo.ok());
-    EXPECT_EQ(SortedPairs((*reports)[i].matches), SortedPairs(solo->matches))
-        << "batch " << i;
-  }
-}
-
 TEST_F(ApiPlanTest, StreamingSinkReceivesEveryMatch) {
   auto plan = BuildPlan();
   ASSERT_TRUE(plan.ok()) << plan.status();

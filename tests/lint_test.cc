@@ -64,7 +64,7 @@ TEST(LintLayers, RanksFollowTheDag) {
   EXPECT_LT(LayerRank("src/api/session.cc"),
             LayerRank("src/stream/ingest_driver.cc"));
   EXPECT_EQ(LayerRank("tools/mdmatch_tool.cc"), -1);
-  EXPECT_EQ(LayerRank("bench/bench_ingest_latency.cc"), -1);
+  EXPECT_EQ(LayerRank("bench/bench_pair_throughput.cc"), -1);
 }
 
 TEST(LintFixtures, FrozenMutation) {

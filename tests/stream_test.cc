@@ -378,6 +378,32 @@ TEST_F(StreamIngestDriverTest, AsyncMatchesSynchronousIngestExactly) {
 
   EXPECT_EQ(SessionIdPairs(*driver.View().state()),
             SessionIdPairs(*sync_session.View().state()));
+
+  // The rest of the corpus as a stream: the driver takes every record
+  // with no barrier in between, so its flusher coalesces whatever queued
+  // up per cycle, while the synchronous session flushes each record
+  // alone. Both must land on the same state.
+  std::vector<std::pair<int, Tuple>> tail;
+  for (size_t i = 80; i < data_.instance.left().size(); ++i) {
+    tail.emplace_back(0, data_.instance.left().tuple(i));
+  }
+  for (size_t i = 80; i < data_.instance.right().size(); ++i) {
+    tail.emplace_back(1, data_.instance.right().tuple(i));
+  }
+  ASSERT_FALSE(tail.empty());
+  for (const auto& [side, tuple] : tail) {
+    ASSERT_TRUE(driver.Upsert(side, tuple).ok());
+  }
+  for (const auto& [side, tuple] : tail) {
+    ASSERT_TRUE(sync_session.Upsert(side, tuple).ok());
+    ASSERT_TRUE(sync_session.Flush().ok());
+  }
+  ASSERT_TRUE(driver.Drain().ok());
+
+  EXPECT_EQ(driver.session().left_size(), data_.instance.left().size());
+  EXPECT_EQ(driver.session().right_size(), data_.instance.right().size());
+  EXPECT_EQ(SessionIdPairs(*driver.View().state()),
+            SessionIdPairs(*sync_session.View().state()));
 }
 
 TEST_F(StreamIngestDriverTest, RejectBackpressureSurfacesQueueFull) {
@@ -477,7 +503,9 @@ TEST_F(StreamIngestDriverTest, SubscribeMidStreamWithInitialSnapshot) {
 TEST_F(StreamIngestDriverTest, SlowSubscriberIsResyncedNotUnbounded) {
   auto plan = BuildPlan();
   ASSERT_TRUE(plan.ok());
-  IngestDriver driver(*plan);
+  IngestDriverOptions options;
+  options.subscriber_queue_capacity = 1;
+  IngestDriver driver(*plan, {}, options);
 
   // A sink that sleeps through deliveries behind a queue of 1: the
   // fan-out must overflow it and replace the backlog with one resync.
@@ -501,9 +529,7 @@ TEST_F(StreamIngestDriverTest, SlowSubscriberIsResyncedNotUnbounded) {
     std::string error_;
   } sink;
 
-  SubscribeOptions options;
-  options.queue_capacity = 1;
-  driver.Subscribe(&sink, options);
+  driver.Subscribe(&sink);
 
   // Many single-record generations back to back, each forced through
   // its own flush cycle by the Drain barrier.

@@ -591,26 +591,28 @@ int CmdStream(const Args& args) {
   };
 
   const bool stats = args.HasFlag("--stats");
+  // Milliseconds with three decimals: a one-record flush on a large
+  // corpus takes a fraction of one.
   auto print_flush = [stats](const api::IngestReport& report) {
     std::printf("flush: +%zu -%zu matches (%zu upserts, %zu removes, %zu "
-                "pairs, %.3fs) -> %zu standing over %zu + %zu (gen %llu)\n",
+                "pairs, %.3fms) -> %zu standing over %zu + %zu (gen %llu)\n",
                 report.matches_added, report.matches_dropped, report.upserted,
                 report.removed, report.pairs_evaluated,
-                report.index_seconds + report.match_seconds +
-                    report.cluster_seconds,
+                1e3 * (report.index_seconds + report.match_seconds +
+                       report.cluster_seconds),
                 report.total_matches, report.corpus_left,
                 report.corpus_right,
                 static_cast<unsigned long long>(report.generation));
     if (!stats) return;
-    std::printf("  phases: merge %.4fs, scan %.4fs, eval %.4fs, rerank "
-                "%.4fs, %zu rank queries (index %.4fs, match %.4fs, cluster "
-                "%.4fs)\n",
-                report.merge_seconds, report.scan_seconds, report.eval_seconds,
-                report.rerank_seconds, report.rank_queries,
-                report.index_seconds, report.match_seconds,
-                report.cluster_seconds);
-    std::printf("  publish: %.4fs%s, %zu bytes copied\n",
-                report.publish_seconds,
+    std::printf("  phases: merge %.3fms, scan %.3fms, eval %.3fms, rerank "
+                "%.3fms, %zu rank queries (index %.3fms, match %.3fms, "
+                "cluster %.3fms)\n",
+                1e3 * report.merge_seconds, 1e3 * report.scan_seconds,
+                1e3 * report.eval_seconds, 1e3 * report.rerank_seconds,
+                report.rank_queries, 1e3 * report.index_seconds,
+                1e3 * report.match_seconds, 1e3 * report.cluster_seconds);
+    std::printf("  publish: %.3fms%s, %zu bytes copied\n",
+                1e3 * report.publish_seconds,
                 report.match_reused ? " (match state reused)" : "",
                 report.publish_bytes_copied);
     std::printf("  staging: %zu deltas coalesced, queue depth %zu\n",
